@@ -30,21 +30,29 @@ analyze:
 
 # Race-detect the runtime packages the fault-tolerance layer touches,
 # including the replica kill+drain torture test (TestReplicaTortureKillDrain),
-# the balance policies, wire's refcounted body leases, naming, and the event
-# fan-out broker (slow-subscriber torture included).
+# the balance policies, wire's refcounted body leases and lock-free intern
+# table, naming, the event fan-out broker (slow-subscriber torture included),
+# and the generated bindings' decode-lifetime test (values must outlive the
+# recycled lease they were decoded from).
 race:
-	$(GO) test -race ./internal/orb/... ./internal/transport/... ./internal/balance/... ./internal/wire/... ./internal/naming/... ./internal/events/...
+	$(GO) test -race ./internal/orb/... ./internal/transport/... ./internal/balance/... ./internal/wire/... ./internal/naming/... ./internal/events/... ./internal/gen/...
 
 # Brief fuzz pass over the reference parsers (single, replica-set and
 # channel) + wire framings, plus the lease lifecycle (FuzzFreeMessage:
 # random Retain/Free/ReleaseBody interleavings must never alias a live
-# buffer) and the keepalive ping/pong frames in both codecs.
+# buffer), the keepalive ping/pong frames in both codecs, and the generated
+# marshalers: arbitrary bodies through the sequence decode of stubs and
+# skeletons (FuzzSeqDecode: no panic, no allocation the body does not back)
+# and random values through text and CDR, which must agree with the input and
+# each other (FuzzMarshalDifferential).
 fuzz:
 	$(GO) test -fuzz 'FuzzParseRef$$' -fuzztime 30s ./internal/orb/
 	$(GO) test -fuzz 'FuzzParseRefSet$$' -fuzztime 30s ./internal/orb/
 	$(GO) test -fuzz 'FuzzParseChannelRef$$' -fuzztime 30s ./internal/orb/
 	$(GO) test -fuzz 'FuzzFreeMessage$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzKeepaliveFrame$$' -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz 'FuzzSeqDecode$$' -fuzztime 30s ./internal/gen/
+	$(GO) test -fuzz 'FuzzMarshalDifferential$$' -fuzztime 30s ./internal/gen/
 
 # The paper-claim and extension benchmarks (C-series, Fig4, multiplexing,
 # robustness, collocation, event fan-out, hedged tail), captured as diffable
@@ -69,7 +77,9 @@ bench-all:
 	$(GO) test -bench . -benchmem ./...
 
 # Perf regression gate: re-run the invocation-path macrobenchmarks and fail
-# on ns/op regressions against the committed baseline. The gate compares only
+# on ns/op regressions against the committed baseline — and on any gated name
+# allocating more per operation than its baseline, a count that needs no
+# calibration (see benchjson's doc comment). The gate compares only
 # the stable C-series names (-only). The suite runs as three separate passes
 # and the fastest sample of each benchmark is kept (-min): interference only
 # ever slows a run down, so min-of-3 tracks real cost — and because slow host

@@ -7,7 +7,8 @@ package demo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/gen/media"
@@ -59,15 +60,11 @@ func (s *Session) GetName() (string, error) { return s.name, nil }
 func (s *Session) List() (media.HdStreamInfoSeq, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.streams))
-	for n := range s.streams {
-		names = append(names, n)
+	out := make(media.HdStreamInfoSeq, 0, len(s.streams))
+	for _, info := range s.streams {
+		out = append(out, info)
 	}
-	sort.Strings(names)
-	out := make(media.HdStreamInfoSeq, 0, len(names))
-	for _, n := range names {
-		out = append(out, s.streams[n])
-	}
+	slices.SortFunc(out, func(a, b *media.HdStreamInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 

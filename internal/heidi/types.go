@@ -46,6 +46,24 @@ type Reader interface {
 	GetString() (string, error)
 	BeginGet() (string, error)
 	EndGet() error
+	// Remaining reports how many unconsumed bytes of the body are left.
+	Remaining() int
+}
+
+// GetSeqLen reads a sequence's element count and refuses one the rest of the
+// body cannot hold. The count comes off the wire and sizes an allocation;
+// every element occupies at least one byte in every encoding, so a count
+// above Remaining is malformed whatever follows — and must fail here, as an
+// ordinary unmarshal error, not in make() as an out-of-memory crash.
+func GetSeqLen(r Reader) (int, error) {
+	n, err := r.GetULong()
+	if err != nil {
+		return 0, err
+	}
+	if rem := r.Remaining(); uint64(n) > uint64(rem) {
+		return 0, fmt.Errorf("heidi: sequence length %d exceeds the %d bytes left in the body", n, rem)
+	}
+	return int(n), nil
 }
 
 // Serializable is the HdSerializable contract: an object that can marshal

@@ -1,6 +1,11 @@
 package mappings
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -437,6 +442,62 @@ interface O { void f(in Grid g); };`)
 	if _, err := GoMapping.Generate(root); err == nil ||
 		!strings.Contains(err.Error(), "arrays are not supported") {
 		t.Errorf("err = %v, want array rejection", err)
+	}
+}
+
+// TestGoMappingSequenceSlab covers the sequence unmarshaling no shipped IDL
+// reaches: a sequence of structs as a struct member, as a union arm and as an
+// in parameter. Each decodes into one slab behind a length heidi.GetSeqLen
+// has bounded, and the whole file must type-check against the runtime.
+func TestGoMappingSequenceSlab(t *testing.T) {
+	src := generate(t, GoMapping, "lib.idl", `module Lib {
+  struct Track { string title; long ms; };
+  typedef sequence<Track> TrackSeq;
+  struct Album { string name; TrackSeq tracks; sequence<long> years; };
+  union Pick switch (long) { case 0: TrackSeq many; default: long none; };
+  interface Shelf {
+    sequence<Album> albums(in TrackSeq like, in Pick p);
+  };
+};`).File("lib_gen.go")
+	for _, want := range []string{
+		"if _n2, err := heidi.GetSeqLen(r); err != nil {", // member: bounded count
+		"_slab4 := make([]HdTrack, len(v.Tracks))",        // member: one slab
+		"v.Tracks[_i3] = &_slab4[_i3]",
+		"v.Years = make([]int32, _n5)", // scalars need no slab
+		"v.Many[_i2] = &_slab3[_i2]",   // union arm
+		"_n2, err := heidi.GetSeqLen(c)",
+		"_slab5 := make([]HdAlbum, _n2)", // stub, result
+		"_slab4 := make([]HdTrack, _n1)", // skeleton, in parameter
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("generated Go missing %q", want)
+		}
+	}
+	if strings.Contains(src, "= &HdTrack{}") || strings.Contains(src, "= &HdAlbum{}") {
+		t.Error("a sequence element is still allocated on its own")
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "lib_gen.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	if _, err := conf.Check("lib", fset, []*ast.File{file}, nil); err != nil {
+		t.Errorf("generated Go does not type-check: %v", err)
+	}
+}
+
+// TestGoMappingRejectsMemberlessElements: the received-length bound rests on
+// every element occupying at least one byte, so the one type that occupies
+// none is refused at generation time.
+func TestGoMappingRejectsMemberlessElements(t *testing.T) {
+	root := buildEST(t, "o.idl", `struct Nothing {};
+struct Wrapped { Nothing n; };
+interface O { void f(in sequence<Wrapped> s); };`)
+	EnsureGoPackage(root, "")
+	if _, err := GoMapping.Generate(root); err == nil ||
+		!strings.Contains(err.Error(), "memberless struct") {
+		t.Errorf("err = %v, want memberless-struct rejection", err)
 	}
 }
 

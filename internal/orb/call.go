@@ -66,6 +66,7 @@ func (c *callBase) GetChar() (rune, error)        { return c.dec.GetChar() }
 func (c *callBase) GetString() (string, error)    { return c.dec.GetString() }
 func (c *callBase) BeginGet() (string, error)     { return c.dec.BeginGet() }
 func (c *callBase) EndGet() error                 { return c.dec.EndGet() }
+func (c *callBase) Remaining() int                { return c.dec.Remaining() }
 
 // GetEnum unmarshals an enum ordinal.
 func (c *callBase) GetEnum() (int32, error) { return c.dec.GetLong() }
@@ -925,11 +926,3 @@ func (c *ServerCall) Request() *wire.Message { return c.req }
 // from. Valid only while the handler runs; callers keeping the bytes must
 // copy them (wire.Message.EnsureLeased on a frame wrapping them does).
 func (c *ServerCall) RequestBody() []byte { return c.body }
-
-// newTestServerCall builds a detached ServerCall for tests and benchmarks.
-func newTestServerCall(o *ORB, method string, body []byte) *ServerCall {
-	return &ServerCall{
-		callBase: callBase{orb: o, enc: o.proto.NewEncoder(), dec: o.proto.NewDecoder(body)},
-		method:   method,
-	}
-}

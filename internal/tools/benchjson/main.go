@@ -16,11 +16,19 @@
 // actual cost while any single run can be an outlier.
 //
 // Diff mode compares two result files and exits non-zero if any benchmark
-// present in both regressed by more than -threshold percent in ns/op — the
-// regression gate behind `make bench-diff`. -only restricts the comparison
+// present in both regressed by more than -threshold percent in ns/op, or
+// allocates more per operation than its baseline — the regression gate
+// behind `make bench-diff`. -only restricts the comparison
 // to names matching a regexp (noisy micro-benchmarks need not gate CI);
 // benchmarks that exist on only one side are reported but never fail the
 // gate, so adding or retiring benchmarks does not break the build.
+//
+// The allocation gate needs neither threshold nor calibration: allocs/op is
+// a count, and on a fixed code path it repeats exactly from run to run and
+// host to host. The one exception is a count that is mostly set-up (the
+// dials of a 32-caller exclusive pool) divided by b.N, which moves with how
+// many iterations the host managed; counts of ten and more therefore get a
+// tenth of slack, counts below ten — every hot path this repo pins — none.
 //
 // -calibrate NAME rescales every new ns/op by old[NAME]/new[NAME] before
 // comparing. On shared hardware the machine itself can be 2× slower between
@@ -38,6 +46,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -50,9 +59,11 @@ import (
 //	BenchmarkFig4_RemoteCall/cdr-8   166731   6925 ns/op   1552 B/op   30 allocs/op
 //
 // The -benchmem columns are optional; fractional ns/op values occur for
-// sub-nanosecond benchmarks.
+// sub-nanosecond benchmarks. The -N suffix go test appends when GOMAXPROCS
+// is not 1 is dropped from the name, so a baseline recorded on one host
+// still names the same benchmarks on a host with another CPU count.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 type result struct {
 	Iterations  int64   `json:"iterations"`
@@ -86,31 +97,8 @@ func main() {
 		}
 		os.Exit(runDiff(files, *threshold, *only, *calibrate))
 	}
-	results := make(map[string]result)
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, _ := strconv.ParseFloat(m[3], 64)
-		r := result{Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			b, _ := strconv.ParseInt(m[4], 10, 64)
-			r.BytesPerOp = &b
-		}
-		if m[5] != "" {
-			a, _ := strconv.ParseInt(m[5], 10, 64)
-			r.AllocsPerOp = &a
-		}
-		if prev, ok := results[m[1]]; ok && *min && prev.NsPerOp <= r.NsPerOp {
-			continue
-		}
-		results[m[1]] = r
-	}
-	if err := sc.Err(); err != nil {
+	results, err := parseBench(os.Stdin, *min)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
 		os.Exit(1)
 	}
@@ -134,6 +122,35 @@ func main() {
 		fmt.Fprintf(out, "  %q: %s%s\n", n, v, comma)
 	}
 	fmt.Fprintln(out, "}")
+}
+
+// parseBench collects the benchmark result lines of `go test -bench` output.
+func parseBench(r io.Reader, min bool) (map[string]result, error) {
+	results := make(map[string]result)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		iters, _ := strconv.ParseInt(m[2], 10, 64)
+		ns, _ := strconv.ParseFloat(m[3], 64)
+		r := result{Iterations: iters, NsPerOp: ns}
+		if m[4] != "" {
+			b, _ := strconv.ParseInt(m[4], 10, 64)
+			r.BytesPerOp = &b
+		}
+		if m[5] != "" {
+			a, _ := strconv.ParseInt(m[5], 10, 64)
+			r.AllocsPerOp = &a
+		}
+		if prev, ok := results[m[1]]; ok && min && prev.NsPerOp <= r.NsPerOp {
+			continue
+		}
+		results[m[1]] = r
+	}
+	return results, sc.Err()
 }
 
 // loadResults reads one benchjson output file.
@@ -209,12 +226,22 @@ func runDiff(args []string, threshold float64, only, calibrate string) int {
 			continue
 		}
 		delta := (nw.NsPerOp*scale - o.NsPerOp) / o.NsPerOp * 100
+		slower, more, allocs := delta > threshold, false, ""
+		if oa, na := o.AllocsPerOp, nw.AllocsPerOp; oa != nil && na != nil {
+			allocs = fmt.Sprintf("  %3d -> %3d allocs/op", *oa, *na)
+			more = *na > *oa+*oa/10
+		}
 		mark := "  ok    "
-		if delta > threshold {
+		switch {
+		case slower:
 			mark = "  REGR  "
+		case more:
+			mark = "  ALLOC "
+		}
+		if slower || more {
 			regressed++
 		}
-		fmt.Printf("%s%-60s %10.0f -> %10.0f ns/op  %+6.1f%%\n", mark, n, o.NsPerOp, nw.NsPerOp*scale, delta)
+		fmt.Printf("%s%-60s %10.0f -> %10.0f ns/op  %+6.1f%%%s\n", mark, n, o.NsPerOp, nw.NsPerOp*scale, delta, allocs)
 	}
 	for n := range newR {
 		if _, ok := oldR[n]; !ok && (filter == nil || filter.MatchString(n)) {
@@ -222,10 +249,10 @@ func runDiff(args []string, threshold float64, only, calibrate string) int {
 		}
 	}
 	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d of %d benchmarks regressed more than %.0f%% ns/op\n",
+		fmt.Fprintf(os.Stderr, "benchjson: %d of %d benchmarks regressed more than %.0f%% ns/op or allocate more per op\n",
 			regressed, compared, threshold)
 		return 1
 	}
-	fmt.Printf("benchjson: %d benchmarks within %.0f%% of baseline\n", compared, threshold)
+	fmt.Printf("benchjson: %d benchmarks within %.0f%% of baseline, none allocating more\n", compared, threshold)
 	return 0
 }

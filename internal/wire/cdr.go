@@ -211,15 +211,15 @@ func (p *CDRProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 			}
 			m.Deadline = dl
 		}
-		ref, err := meta.GetString()
+		ref, err := meta.stringBytes()
 		if err != nil {
 			return bad("request target", err)
 		}
-		method, err := meta.GetString()
+		method, err := meta.stringBytes()
 		if err != nil {
 			return bad("request method", err)
 		}
-		m.TargetRef, m.Method = ref, method
+		m.TargetRef, m.Method = intern(ref), intern(method)
 	case MsgReply:
 		if m.Status != StatusOK {
 			msg, err := meta.GetString()
@@ -348,11 +348,14 @@ func (e *cdrEncoder) Bytes() []byte { return e.buf }
 // Reset implements Encoder, keeping the buffer's capacity for the next call.
 func (e *cdrEncoder) Reset() { e.buf = e.buf[:0] }
 
-// cdrDecoder reads aligned binary values.
+// cdrDecoder reads aligned binary values. buf may view a leased read buffer;
+// everything the decoder hands out is a value or a copy (strings come from
+// the arena), so nothing decoded outlives the lease by reference.
 type cdrDecoder struct {
 	buf   []byte
 	off   int
 	order byteOrder
+	arena strArena
 }
 
 func (d *cdrDecoder) align(n int) {
@@ -477,25 +480,35 @@ func (d *cdrDecoder) GetChar() (rune, error) {
 	return r, nil
 }
 
-func (d *cdrDecoder) GetString() (string, error) {
+// stringBytes reads one string and returns its bytes (without the NUL) as a
+// view into buf.
+func (d *cdrDecoder) stringBytes() ([]byte, error) {
 	n, err := d.GetULong()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n == 0 {
-		return "", fmt.Errorf("wire: zero-length string encoding")
+		return nil, fmt.Errorf("wire: zero-length string encoding")
 	}
 	if n > MaxStringLen {
-		return "", fmt.Errorf("wire: string length %d exceeds %d", n, MaxStringLen)
+		return nil, fmt.Errorf("wire: string length %d exceeds %d", n, MaxStringLen)
 	}
 	b, err := d.take(int(n), "string")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if b[n-1] != 0 {
-		return "", fmt.Errorf("wire: string missing NUL terminator")
+		return nil, fmt.Errorf("wire: string missing NUL terminator")
 	}
-	return string(b[:n-1]), nil
+	return b[:n-1], nil
+}
+
+func (d *cdrDecoder) GetString() (string, error) {
+	b, err := d.stringBytes()
+	if err != nil {
+		return "", err
+	}
+	return d.arena.str(d.buf, d.off-len(b)-1, len(b)), nil
 }
 
 // BeginGet/EndGet are no-ops in CDR; BeginGet reports an empty tag.
@@ -503,7 +516,7 @@ func (d *cdrDecoder) BeginGet() (string, error) { return "", nil }
 func (d *cdrDecoder) EndGet() error             { return nil }
 
 // Reset implements Decoder, re-targeting the decoder at a new body.
-func (d *cdrDecoder) Reset(body []byte) { d.buf, d.off = body, 0 }
+func (d *cdrDecoder) Reset(body []byte) { d.buf, d.off, d.arena = body, 0, strArena{} }
 
 func (d *cdrDecoder) Remaining() int {
 	if d.off >= len(d.buf) {

@@ -87,12 +87,12 @@ func TestQuotedPrefix(t *testing.T) {
 		{`'\'' rest`, `'\''`, true},
 	}
 	for _, c := range cases {
-		got, err := quotedPrefix(c.in)
+		n, err := quotedLen([]byte(c.in))
 		if c.ok != (err == nil) {
-			t.Fatalf("quotedPrefix(%q): err=%v, want ok=%v", c.in, err, c.ok)
+			t.Fatalf("quotedLen(%q): err=%v, want ok=%v", c.in, err, c.ok)
 		}
-		if c.ok && got != c.want {
-			t.Fatalf("quotedPrefix(%q) = %q, want %q", c.in, got, c.want)
+		if got := c.in[:n]; c.ok && got != c.want {
+			t.Fatalf("quotedLen(%q) covers %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
@@ -202,8 +201,8 @@ func (TextProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 			return bad("request missing target or method: %q", line)
 		}
 		m.RequestID = uint32(n)
-		m.TargetRef = string(ref)
-		m.Method = string(method)
+		m.TargetRef = intern(ref)
+		m.Method = intern(method)
 		if dl, rest4, derr, ok := deadlineToken(body); ok {
 			if derr != nil {
 				FreeMessage(m)
@@ -322,7 +321,7 @@ func swarHasZero(v uint64) uint64 { return (v - swarLSB) & ^v & swarMSB }
 // The scan is eight bytes per step: a lane is flagged if it is non-ASCII,
 // a control byte (<0x20), DEL, '"', or '\\'. On kilobyte payloads this scan
 // is the whole cost of the quoting fast path, so it is worth the bit tricks.
-func quotePlain(s string) bool {
+func quotePlain[T string | []byte](s T) bool {
 	i := 0
 	for ; i+8 <= len(s); i += 8 {
 		x := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
@@ -354,10 +353,16 @@ func appendQuoted(b []byte, s string) []byte {
 	return strconv.AppendQuote(b, s)
 }
 
+// plainQuoted reports whether t is a double-quoted token with nothing to
+// unescape: the string is then t[1:len(t)-1] verbatim.
+func plainQuoted[T string | []byte](t T) bool {
+	return len(t) >= 2 && t[0] == '"' && t[len(t)-1] == '"' && quotePlain(t[1:len(t)-1])
+}
+
 // unquoteToken is strconv.Unquote with the escape-free fast path; on the
 // fast path the result is a sub-view of t, not a copy.
 func unquoteToken(t string) (string, error) {
-	if len(t) >= 2 && t[0] == '"' && t[len(t)-1] == '"' && quotePlain(t[1:len(t)-1]) {
+	if plainQuoted(t) {
 		return t[1 : len(t)-1], nil
 	}
 	return strconv.Unquote(t)
@@ -367,9 +372,7 @@ func unquoteToken(t string) (string, error) {
 func (TextProtocol) NewEncoder() Encoder { return &textEncoder{} }
 
 // NewDecoder implements Protocol.
-func (TextProtocol) NewDecoder(body []byte) Decoder {
-	return &textDecoder{rest: string(body)}
-}
+func (TextProtocol) NewDecoder(body []byte) Decoder { return &textDecoder{buf: body} }
 
 // textEncoder renders body values as space-separated tokens, appended
 // directly to a byte buffer (no intermediate token strings, and Bytes hands
@@ -449,82 +452,70 @@ func (e *textEncoder) End() {
 func (e *textEncoder) Bytes() []byte { return e.buf }
 func (e *textEncoder) Reset()        { e.buf = e.buf[:0] }
 
-// textDecoder tokenizes an encoded body. The body is copied into a string up
-// front, so tokens it hands out (including GetString's zero-copy sub-views)
-// never alias the pooled read buffer and stay valid after the lease returns.
+// textDecoder tokenizes an encoded body in place. buf may view a leased read
+// buffer: numbers are parsed straight out of it, and the strings handed out
+// are copies (arena for values, intern table for composite tags), so nothing
+// decoded aliases the buffer once the lease returns.
 type textDecoder struct {
-	rest string
-	off  int
+	buf   []byte
+	off   int
+	arena strArena
 }
 
 // Reset implements Decoder.
-func (d *textDecoder) Reset(body []byte) {
-	d.rest = string(body)
-	d.off = 0
-}
+func (d *textDecoder) Reset(body []byte) { *d = textDecoder{buf: body} }
 
-func (d *textDecoder) next() (string, error) {
-	s := strings.TrimLeft(d.rest, " ")
-	d.off += len(d.rest) - len(s)
-	if s == "" {
-		return "", errTruncated("token", d.off)
+// next returns the next token as a view into buf; d.off is left just past it.
+func (d *textDecoder) next() ([]byte, error) {
+	for d.off < len(d.buf) && d.buf[d.off] == ' ' {
+		d.off++
+	}
+	s := d.buf[d.off:]
+	if len(s) == 0 {
+		return nil, errTruncated("token", d.off)
+	}
+	n := bytes.IndexByte(s, ' ')
+	if n < 0 {
+		n = len(s)
 	}
 	// Quoted tokens may contain spaces.
 	if s[0] == '"' || s[0] == '\'' {
-		prefix, err := quotedPrefix(s)
-		if err != nil {
-			return "", fmt.Errorf("wire: bad quoted token at offset %d: %w", d.off, err)
+		var err error
+		if n, err = quotedLen(s); err != nil {
+			return nil, fmt.Errorf("wire: bad quoted token at offset %d: %w", d.off, err)
 		}
-		d.rest = s[len(prefix):]
-		d.off += len(prefix)
-		return prefix, nil
 	}
-	i := strings.IndexByte(s, ' ')
-	if i < 0 {
-		d.rest = ""
-		d.off += len(s)
-		return s, nil
-	}
-	d.rest = s[i:]
-	d.off += i
-	return s[:i], nil
+	d.off += n
+	return s[:n], nil
 }
 
-// quotedPrefix returns the leading quoted token of s (Go string or rune
-// quoting).
-func quotedPrefix(s string) (string, error) {
-	if s[0] == '"' {
+// quotedLen returns the length of the leading quoted token of s (Go string
+// or rune quoting).
+func quotedLen(s []byte) (int, error) {
+	quote := s[0]
+	if quote == '"' {
 		// Fast path: both scans below are vectorized memchr. If the first
 		// closing quote has no backslash anywhere before it, no escape can
 		// reach it and the token ends there.
-		if j := strings.IndexByte(s[1:], '"'); j >= 0 {
-			if strings.IndexByte(s[1:1+j], '\\') < 0 {
-				return s[:j+2], nil
-			}
+		if j := bytes.IndexByte(s[1:], '"'); j >= 0 && bytes.IndexByte(s[1:1+j], '\\') < 0 {
+			return j + 2, nil
 		}
-		// Find the closing unescaped quote directly; malformed escapes are
-		// caught when the token is unquoted. strconv.QuotedPrefix decodes
-		// every rune on the way, which the hot path does not need.
-		for i := 1; i < len(s); i++ {
-			switch s[i] {
-			case '\\':
-				i++
-			case '"':
-				return s[:i+1], nil
-			}
-		}
-		return "", fmt.Errorf("unterminated string literal")
 	}
-	// Rune literal: find the closing quote honouring backslash escapes.
+	// Find the closing unescaped quote directly; malformed escapes are
+	// caught when the token is unquoted. strconv.QuotedPrefix decodes every
+	// rune on the way, which the hot path does not need.
 	for i := 1; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
 			i++
-		case '\'':
-			return s[:i+1], nil
+		case quote:
+			return i + 1, nil
 		}
 	}
-	return "", fmt.Errorf("unterminated rune literal")
+	if quote == '"' {
+		return 0, fmt.Errorf("unterminated string literal")
+	}
+	return 0, fmt.Errorf("unterminated rune literal")
 }
 
 func (d *textDecoder) GetBool() (bool, error) {
@@ -532,7 +523,7 @@ func (d *textDecoder) GetBool() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	switch t {
+	switch string(t) {
 	case "T":
 		return true, nil
 	case "F":
@@ -541,12 +532,15 @@ func (d *textDecoder) GetBool() (bool, error) {
 	return false, fmt.Errorf("wire: bad boolean token %q", t)
 }
 
+// The string(t) conversions handed to strconv below do not escape, so number
+// tokens (at most 32 bytes unless malformed) are parsed without allocating.
+
 func (d *textDecoder) int(bits int) (int64, error) {
 	t, err := d.next()
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.ParseInt(t, 10, bits)
+	n, err := strconv.ParseInt(string(t), 10, bits)
 	if err != nil {
 		return 0, fmt.Errorf("wire: bad integer token %q", t)
 	}
@@ -558,7 +552,7 @@ func (d *textDecoder) uint(bits int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.ParseUint(t, 10, bits)
+	n, err := strconv.ParseUint(string(t), 10, bits)
 	if err != nil {
 		return 0, fmt.Errorf("wire: bad unsigned token %q", t)
 	}
@@ -590,36 +584,31 @@ func (d *textDecoder) GetULongLong() (uint64, error) {
 	return d.uint(64)
 }
 
-func (d *textDecoder) GetFloat() (float32, error) {
+func (d *textDecoder) float(bits int, what string) (float64, error) {
 	t, err := d.next()
 	if err != nil {
 		return 0, err
 	}
-	f, err := strconv.ParseFloat(t, 32)
+	f, err := strconv.ParseFloat(string(t), bits)
 	if err != nil {
-		return 0, fmt.Errorf("wire: bad float token %q", t)
-	}
-	return float32(f), nil
-}
-
-func (d *textDecoder) GetDouble() (float64, error) {
-	t, err := d.next()
-	if err != nil {
-		return 0, err
-	}
-	f, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("wire: bad double token %q", t)
+		return 0, fmt.Errorf("wire: bad %s token %q", what, t)
 	}
 	return f, nil
 }
+
+func (d *textDecoder) GetFloat() (float32, error) {
+	f, err := d.float(32, "float")
+	return float32(f), err
+}
+
+func (d *textDecoder) GetDouble() (float64, error) { return d.float(64, "double") }
 
 func (d *textDecoder) GetChar() (rune, error) {
 	t, err := d.next()
 	if err != nil {
 		return 0, err
 	}
-	s, err := strconv.Unquote(t)
+	s, err := strconv.Unquote(string(t))
 	if err != nil || s == "" {
 		return 0, fmt.Errorf("wire: bad char token %q", t)
 	}
@@ -632,12 +621,22 @@ func (d *textDecoder) GetString() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s, err := unquoteToken(t)
+	tooLong := func() (string, error) {
+		return "", fmt.Errorf("wire: string exceeds %d bytes", MaxStringLen)
+	}
+	if plainQuoted(t) {
+		if len(t)-2 > MaxStringLen {
+			return tooLong()
+		}
+		return d.arena.str(d.buf, d.off-len(t)+1, len(t)-2), nil
+	}
+	// Escapes to undo: Unquote builds its own result.
+	s, err := strconv.Unquote(string(t))
 	if err != nil {
 		return "", fmt.Errorf("wire: bad string token %q", t)
 	}
 	if len(s) > MaxStringLen {
-		return "", fmt.Errorf("wire: string exceeds %d bytes", MaxStringLen)
+		return tooLong()
 	}
 	return s, nil
 }
@@ -647,10 +646,10 @@ func (d *textDecoder) BeginGet() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if !strings.HasPrefix(t, "{") {
+	if t[0] != '{' {
 		return "", fmt.Errorf("wire: expected composite begin, got %q", t)
 	}
-	return t[1:], nil
+	return intern(t[1:]), nil
 }
 
 func (d *textDecoder) EndGet() error {
@@ -658,12 +657,12 @@ func (d *textDecoder) EndGet() error {
 	if err != nil {
 		return err
 	}
-	if t != "}" {
+	if string(t) != "}" {
 		return fmt.Errorf("wire: expected composite end, got %q", t)
 	}
 	return nil
 }
 
 func (d *textDecoder) Remaining() int {
-	return len(strings.TrimLeft(d.rest, " "))
+	return len(bytes.TrimLeft(d.buf[d.off:], " "))
 }

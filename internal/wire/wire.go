@@ -179,8 +179,6 @@ type Encoder interface {
 // Decoder unmarshals one call body, mirroring Encoder.
 type Decoder interface {
 	heidi.Reader
-	// Remaining reports how many unconsumed bytes are left.
-	Remaining() int
 	// Reset re-targets the decoder at a new encoded body, so one decoder
 	// serves many calls (the pooled-call hot path).
 	Reset(body []byte)
