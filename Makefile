@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint analyze race fuzz bench bench-all bench-diff check fmt fmtcheck
+.PHONY: all build test vet lint analyze race fuzz bench bench-all bench-diff budget check fmt fmtcheck
 
 all: check
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The subtraction ratchet on its own (it also runs as part of test): recounts
+# orb + transport lines, Options fields, Stats structs, time.Now sites and
+# test sleeps from source and fails when one rises above the BUDGET file.
+budget:
+	$(GO) test -run '^TestBudget$$' .
 
 vet:
 	$(GO) vet ./...

@@ -103,6 +103,13 @@ func BenchmarkFig3_GenerateHeader(b *testing.B) {
 // returns the resolved generated stub.
 func remoteSession(b *testing.B, proto wire.Protocol, opts func(*orb.Options)) media.HdSession {
 	b.Helper()
+	sess, _ := remoteSessionServer(b, proto, opts)
+	return sess
+}
+
+// remoteSessionServer is remoteSession that also returns the server ORB.
+func remoteSessionServer(b *testing.B, proto wire.Protocol, opts func(*orb.Options)) (media.HdSession, *orb.ORB) {
+	b.Helper()
 	serverOpts := orb.Options{Protocol: proto}
 	clientOpts := orb.Options{Protocol: proto}
 	if opts != nil {
@@ -120,7 +127,7 @@ func remoteSession(b *testing.B, proto wire.Protocol, opts func(*orb.Options)) m
 	if err != nil {
 		b.Fatal(err)
 	}
-	return obj.(media.HdSession)
+	return obj.(media.HdSession), server
 }
 
 // BenchmarkFig4_RemoteCall measures the complete client-side interaction of
@@ -1350,21 +1357,23 @@ func BenchmarkHedgedTail(b *testing.B) {
 			name = "hedge=on"
 		}
 		b.Run(name, func(b *testing.B) {
-			sess := remoteSession(b, wire.CDR, func(o *orb.Options) {
+			sess, server := remoteSessionServer(b, wire.CDR, func(o *orb.Options) {
 				o.Multiplex = true
 				// The hedge must be able to overtake the stalled dispatch
 				// on the shared connection.
 				o.MaxConcurrentPerConn = 16
 				o.Retry = orb.RetryPolicy{Idempotent: func(string) bool { return true }}
-				o.DispatchFault = func(info transport.DispatchFaultInfo) transport.DispatchVerdict {
-					if info.Seq%8 == 0 {
-						return transport.DispatchVerdict{Delay: 15 * time.Millisecond}
-					}
-					return transport.DispatchVerdict{}
-				}
 				if hedged {
 					o.Hedge = orb.HedgePolicy{Delay: 2 * time.Millisecond, MaxHedges: 1}
 				}
+			})
+			var dispatches atomic.Uint64
+			server.AddServerInterceptor(func(_ *orb.ServerContext, handle func() error) error {
+				err := handle()
+				if dispatches.Add(1)%8 == 0 {
+					time.Sleep(15 * time.Millisecond)
+				}
+				return err
 			})
 			b.ReportAllocs()
 			b.ResetTimer()

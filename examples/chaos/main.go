@@ -28,6 +28,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/demo"
@@ -77,8 +78,7 @@ func scene1StuckConnEvicted() {
 	client, ref, session, chaos, cleanup := chaoticPair(7, func(o *orb.Options) {
 		o.Multiplex = true
 		o.Negotiate = true
-		o.KeepaliveInterval = 10 * time.Millisecond
-		o.KeepaliveTimeout = 40 * time.Millisecond
+		o.KeepaliveInterval = 10 * time.Millisecond // stuck after 3 silent intervals
 		o.CallTimeout = 2 * time.Second
 		o.Retry = orb.RetryPolicy{
 			MaxAttempts: 10,
@@ -115,19 +115,21 @@ func scene2HedgedTail() {
 	server, ref, _, err := demo.Serve(orb.Options{
 		Protocol: wire.Text, Transport: inner, ListenAddr: ":0",
 		MaxConcurrentPerConn: 8,
-		// Every 4th dispatch stalls 200ms: an occasional GC pause or slow
-		// disk hit, not a failure anything can detect.
-		DispatchFault: func(i transport.DispatchFaultInfo) transport.DispatchVerdict {
-			if i.Seq%4 == 0 {
-				return transport.DispatchVerdict{Delay: 200 * time.Millisecond}
-			}
-			return transport.DispatchVerdict{}
-		},
 	}, "bimodal")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer server.Shutdown()
+	// Every 4th dispatch stalls 200ms before its reply: an occasional GC
+	// pause or slow disk hit, not a failure anything can detect.
+	var dispatches atomic.Uint64
+	server.AddServerInterceptor(func(_ *orb.ServerContext, handle func() error) error {
+		err := handle()
+		if dispatches.Add(1)%4 == 0 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		return err
+	})
 
 	client := demo.Connect(orb.Options{
 		Protocol: wire.Text, Transport: inner,
@@ -169,7 +171,6 @@ func scene3BlackholeAndHeal() {
 		o.Multiplex = true
 		o.Negotiate = true
 		o.KeepaliveInterval = 10 * time.Millisecond
-		o.KeepaliveTimeout = 40 * time.Millisecond
 		o.CallTimeout = 300 * time.Millisecond
 		o.Retry = orb.RetryPolicy{
 			MaxAttempts: 20,

@@ -74,13 +74,10 @@ func run(label string, mux, coalesce bool) {
 	client := demo.Connect(orb.Options{
 		Protocol: wire.CDR, Transport: tr,
 		Multiplex: mux,
-		// Batch the wave's pipelined requests into gathered writes. The
-		// bounds are the defaults (64 frames / 256 KiB per batch) spelled
-		// out; CoalesceLinger stays zero — yield-based accumulation forms
-		// the batches without adding wall-clock latency.
-		CoalesceWrites:    coalesce,
-		CoalesceMaxFrames: 64,
-		CoalesceMaxBytes:  256 << 10,
+		// Batch the wave's pipelined requests into gathered writes (at most
+		// 64 frames / 256 KiB each). Yield-based accumulation forms the
+		// batches without adding wall-clock latency.
+		CoalesceWrites: coalesce,
 	})
 	defer client.Shutdown()
 	obj, err := client.Resolve(ref)

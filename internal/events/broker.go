@@ -78,9 +78,6 @@ func NewBroker(cfg Config) *Broker {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = defaultQueueDepth
 	}
-	if cfg.RedialInterval <= 0 {
-		cfg.RedialInterval = defaultRedialInterval
-	}
 	b := &Broker{
 		cfg:      cfg,
 		subs:     make(map[uint64]*subscriber),

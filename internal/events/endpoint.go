@@ -34,7 +34,7 @@ type dialWait struct {
 // endpoint returns the live endpoint for addr, dialing one if none exists.
 // Concurrent requests for the same addr share a single dial. Redials after
 // a failure (a failed dial or a died connection) are rate-limited by
-// Config.RedialInterval; a delivery landing inside the backoff window fails
+// redialInterval; a delivery landing inside the backoff window fails
 // fast (and counts as undelivered) instead of queuing dials to a peer that
 // may be gone.
 func (b *Broker) endpoint(addr string) (*endpoint, error) {
@@ -60,7 +60,7 @@ func (b *Broker) endpoint(addr string) (*endpoint, error) {
 			continue // endpoint died under the waiters; re-evaluate
 		}
 		now := time.Now().UnixNano()
-		if last, ok := b.lastFail[addr]; ok && now-last < int64(b.cfg.RedialInterval) {
+		if last, ok := b.lastFail[addr]; ok && now-last < int64(redialInterval) {
 			b.mu.Unlock()
 			return nil, errDialBackoff
 		}
@@ -89,7 +89,7 @@ func (b *Broker) dialEndpoint(addr string) (*endpoint, error) {
 		return nil, err
 	}
 	ep := &endpoint{addr: addr, conn: conn}
-	ep.co = transport.NewCoalescer(conn, b.cfg.Coalesce)
+	ep.co = transport.NewCoalescer(conn)
 
 	b.mu.Lock()
 	if b.closed {

@@ -72,19 +72,15 @@ type Config struct {
 	// shares one connection (and one coalescing writer) among all
 	// subscribers at the same address.
 	Dial func(addr string) (transport.Conn, error)
-	// Coalesce tunes the per-connection coalescing writer.
-	Coalesce transport.CoalesceConfig
-	// RedialInterval rate-limits reconnection attempts to an endpoint
-	// whose connection died (50ms). Deliveries inside the window count as
-	// undelivered rather than stacking up dials to a gone peer.
-	RedialInterval time.Duration
 }
 
-// Defaults for Config zero fields.
-const (
-	defaultQueueDepth     = 64
-	defaultRedialInterval = 50 * time.Millisecond
-)
+// defaultQueueDepth is the per-subscriber queue bound when Config sets none.
+const defaultQueueDepth = 64
+
+// redialInterval rate-limits reconnection attempts to an endpoint whose
+// connection died. Deliveries inside the window count as undelivered rather
+// than stacking up dials to a gone peer.
+const redialInterval = 50 * time.Millisecond
 
 // Stats is a snapshot of a broker's (or one subscriber's) delivery
 // accounting. Once a broker is closed and drained the per-subscriber

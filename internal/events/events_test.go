@@ -22,7 +22,12 @@ type capturedFrame struct {
 
 // fakeConn is a transport.Conn + BatchSender that records frames instead of
 // writing them, so tests can observe batching and body sharing directly.
+// With hold set, its first write blocks until hold is closed, so frames sent
+// meanwhile pile up in the coalescer's queue.
 type fakeConn struct {
+	hold     chan struct{}
+	holdOnce sync.Once
+
 	mu      sync.Mutex
 	frames  []capturedFrame
 	sends   int // Send calls
@@ -43,7 +48,14 @@ func (c *fakeConn) record(m *wire.Message) {
 	c.frames = append(c.frames, capturedFrame{method: m.Method, bodyPtr: p})
 }
 
+func (c *fakeConn) wait() {
+	if c.hold != nil {
+		c.holdOnce.Do(func() { <-c.hold })
+	}
+}
+
 func (c *fakeConn) Send(m *wire.Message) error {
+	c.wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failing {
@@ -55,6 +67,7 @@ func (c *fakeConn) Send(m *wire.Message) error {
 }
 
 func (c *fakeConn) SendBatch(ms []*wire.Message) error {
+	c.wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failing {
@@ -126,10 +139,9 @@ func checkInvariant(t *testing.T, label string, st Stats) {
 func TestPublishSharesOneBody(t *testing.T) {
 	const subs = 16
 	conn := newFakeConn()
+	conn.hold = make(chan struct{})
 	b := NewBroker(Config{
 		Dial: func(addr string) (transport.Conn, error) { return conn, nil },
-		// Linger gives the flusher time to gather all the workers' frames.
-		Coalesce: transport.CoalesceConfig{Linger: 2 * time.Millisecond},
 	})
 	defer b.Close()
 	for i := 0; i < subs; i++ {
@@ -142,6 +154,21 @@ func TestPublishSharesOneBody(t *testing.T) {
 	if n := b.Publish("frameReady", src); n != subs {
 		t.Fatalf("Publish admitted %d of %d", n, subs)
 	}
+	// The connection's first write is held: every worker takes its event
+	// and parks it in the coalescer behind that write, then the release
+	// lets the flusher gather them.
+	waitFor(t, "every worker to take its event", func() bool {
+		for _, s := range *b.snapshot.Load() {
+			s.q.mu.Lock()
+			n := s.q.n
+			s.q.mu.Unlock()
+			if n > 0 {
+				return false
+			}
+		}
+		return true
+	})
+	close(conn.hold)
 	waitFor(t, "all deliveries", func() bool { return b.Stats().Delivered == subs })
 
 	frames, sends, batches := conn.snapshot()
@@ -358,7 +385,7 @@ func TestEndpointRedial(t *testing.T) {
 		mu.Unlock()
 		return c, nil
 	}
-	b := NewBroker(Config{Dial: dial, RedialInterval: time.Millisecond})
+	b := NewBroker(Config{Dial: dial})
 	defer b.Close()
 	id, err := b.SubscribeRemote("@tcp:peer:1#1#IDL:T:1.0", "peer:1", SubOptions{})
 	if err != nil {

@@ -71,7 +71,6 @@ func (o *ORB) CreateChannel(name string, opts ChannelOptions) (*Channel, error) 
 		QueueDepth: opts.QueueDepth,
 		Policy:     opts.Policy,
 		Dial:       o.trans.Dial,
-		Coalesce:   o.coalesceConfig(),
 	})
 	table := NewMethodTable(ChannelTypeID)
 	table.Register(opSubscribe, ch.handleSubscribe)

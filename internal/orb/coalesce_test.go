@@ -20,7 +20,6 @@ func coalesceConfigs() map[string]func() Options {
 				Multiplex:            true,
 				MaxConcurrentPerConn: 16,
 				CoalesceWrites:       true,
-				CoalesceLinger:       100 * time.Microsecond,
 			}
 		}
 	}
@@ -133,7 +132,6 @@ func TestCoalesceTortureMidBatchKill(t *testing.T) {
 		Protocol: wire.CDR, Transport: ft,
 		Multiplex:            true,
 		CoalesceWrites:       true,
-		CoalesceLinger:       100 * time.Microsecond,
 		Retry:                RetryPolicy{MaxAttempts: 8},
 		CallTimeout:          10 * time.Second, // backstop: resolution, not correctness
 		MaxConcurrentPerConn: 32,
@@ -296,13 +294,7 @@ func TestRetryDoesNotObserveRecycledLease(t *testing.T) {
 
 	// Wait for the first attempt's late reply to be dropped — that is the
 	// moment its lease goes back to the pool.
-	deadline := time.Now().Add(5 * time.Second)
-	for client.MuxStats().Late == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if client.MuxStats().Late == 0 {
-		t.Fatal("late reply never arrived; nothing was recycled")
-	}
+	waitFor(t, func() bool { return client.MuxStats().Late != 0 })
 
 	// Churn: same-sized payloads of 'B's recycle through the lease pool,
 	// rewriting the first attempt's buffer (and, under a naive lifetime,

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -127,18 +126,6 @@ func (o *ORB) dispatchCollocated(c *ClientCall, refStr string, oneway bool) (*wi
 		err = o.runServerChain(&sc.ctx, func() error { return c.dispatchMemoized(s, sc) })
 	} else {
 		err = c.dispatchMemoized(s, sc)
-	}
-	if hook := o.opts.DispatchFault; hook != nil {
-		v := hook(transport.DispatchFaultInfo{Method: c.method, Oneway: oneway, Seq: o.dispatchSeq.Add(1)})
-		if v.Delay > 0 {
-			time.Sleep(v.Delay)
-		}
-		if v.DropReply && !oneway {
-			// A dropped reply leaves a remote caller waiting out its
-			// deadline, never sure whether the servant ran. Surface the
-			// same ambiguity here (the servant DID run).
-			return nil, failAmbiguous, fmt.Errorf("orb: collocated reply for %q dropped by fault hook", c.method)
-		}
 	}
 	if oneway {
 		return nil, failNone, nil

@@ -14,21 +14,32 @@ import (
 // allIdempotent opts every method into hedging and ambiguous-failure retry.
 func allIdempotent(string) bool { return true }
 
+// stallReplies holds back, for d after the servant ran, the reply of every
+// dispatch on o whose 1-based ordinal satisfies stall. It is a server
+// interceptor, so it applies to wire-borne and collocated dispatch alike and
+// runs before the post-dispatch deadline check.
+func stallReplies(o *ORB, d time.Duration, stall func(seq uint64) bool) {
+	var seq atomic.Uint64
+	o.AddServerInterceptor(func(_ *ServerContext, handle func() error) error {
+		err := handle()
+		if stall(seq.Add(1)) {
+			time.Sleep(d)
+		}
+		return err
+	})
+}
+
+func firstDispatch(seq uint64) bool { return seq == 1 }
+func everyDispatch(uint64) bool     { return true }
+
 // TestHedgeRescuesSlowCall: the first dispatch of a call is held far past
 // the hedge delay; the hedge launches, wins, and the caller gets its answer
 // at hedge-delay timescales instead of waiting out the stall. The losing
 // primary's late reply is drained in the background.
 func TestHedgeRescuesSlowCall(t *testing.T) {
 	impl := &echoImpl{}
-	server := New(Options{
-		Protocol: wire.CDR,
-		DispatchFault: func(info transport.DispatchFaultInfo) transport.DispatchVerdict {
-			if info.Seq == 1 {
-				return transport.DispatchVerdict{Delay: 300 * time.Millisecond}
-			}
-			return transport.DispatchVerdict{}
-		},
-	})
+	server := New(Options{Protocol: wire.CDR})
+	stallReplies(server, 300*time.Millisecond, firstDispatch)
 	if err := server.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +79,7 @@ func TestHedgeRescuesSlowCall(t *testing.T) {
 		t.Errorf("Hedges=%d HedgeWins=%d, want 1/1", st.Hedges, st.HedgeWins)
 	}
 	// The primary's late reply must be drained (its lease freed), not leaked.
-	deadline := time.Now().Add(3 * time.Second)
-	for client.Stats().HedgeStragglers == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, func() bool { return client.Stats().HedgeStragglers != 0 })
 	if n := client.Stats().HedgeStragglers; n != 1 {
 		t.Errorf("HedgeStragglers = %d, want 1", n)
 	}
@@ -82,12 +90,8 @@ func TestHedgeRescuesSlowCall(t *testing.T) {
 // it is safe unless the application said so.
 func TestHedgeRequiresIdempotence(t *testing.T) {
 	impl := &echoImpl{}
-	server := New(Options{
-		Protocol: wire.CDR,
-		DispatchFault: func(transport.DispatchFaultInfo) transport.DispatchVerdict {
-			return transport.DispatchVerdict{Delay: 80 * time.Millisecond}
-		},
-	})
+	server := New(Options{Protocol: wire.CDR})
+	stallReplies(server, 80*time.Millisecond, everyDispatch)
 	if err := server.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +126,11 @@ func TestHedgeRequiresIdempotence(t *testing.T) {
 
 // TestHedgeAllAttemptsFail: when the primary and every hedge fail, the
 // invocation fails once — with the primary's error — rather than hanging
-// or returning a half-result.
+// or returning a half-result. The client's network silently drops every
+// send, so no attempt is ever answered.
 func TestHedgeAllAttemptsFail(t *testing.T) {
 	impl := &echoImpl{}
-	server := New(Options{
-		Protocol: wire.CDR,
-		DispatchFault: func(transport.DispatchFaultInfo) transport.DispatchVerdict {
-			return transport.DispatchVerdict{DropReply: true} // every reply lost
-		},
-	})
+	server := New(Options{Protocol: wire.CDR})
 	if err := server.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,11 @@ func TestHedgeAllAttemptsFail(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	lossy := transport.NewChaosTransport(transport.NewTCP(wire.CDR), 1)
+	lossy.DropSend = 1 // every request lost
 	client := New(Options{
 		Protocol:    wire.CDR,
+		Transport:   lossy,
 		CallTimeout: 120 * time.Millisecond,
 		Retry:       RetryPolicy{Idempotent: allIdempotent}, // hedgeable, no retries
 		Hedge:       HedgePolicy{Delay: 20 * time.Millisecond, MaxHedges: 1},
@@ -170,6 +173,9 @@ func TestHedgeAllAttemptsFail(t *testing.T) {
 	if st.Hedges != 1 || st.HedgeWins != 0 {
 		t.Errorf("Hedges=%d HedgeWins=%d, want 1/0", st.Hedges, st.HedgeWins)
 	}
+	if n := lossy.Stats().Dropped; n != 2 {
+		t.Errorf("network dropped %d sends, want 2 (primary + hedge)", n)
+	}
 }
 
 // TestHedgeMuxSharedConn: hedging over a multiplexed connection — the hedge
@@ -179,16 +185,8 @@ func TestHedgeAllAttemptsFail(t *testing.T) {
 // exclusive-pool path.
 func TestHedgeMuxSharedConn(t *testing.T) {
 	impl := &echoImpl{}
-	server := New(Options{
-		Protocol:             wire.CDR,
-		MaxConcurrentPerConn: 16,
-		DispatchFault: func(info transport.DispatchFaultInfo) transport.DispatchVerdict {
-			if info.Seq == 1 {
-				return transport.DispatchVerdict{Delay: 300 * time.Millisecond}
-			}
-			return transport.DispatchVerdict{}
-		},
-	})
+	server := New(Options{Protocol: wire.CDR, MaxConcurrentPerConn: 16})
+	stallReplies(server, 300*time.Millisecond, firstDispatch)
 	if err := server.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +264,7 @@ func TestKeepaliveEndToEndMux(t *testing.T) {
 	}
 
 	// Idle across several intervals: pings must flow and be answered.
-	deadline := time.Now().Add(2 * time.Second)
-	for client.MuxStats().Pongs < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, func() bool { return client.MuxStats().Pongs >= 2 })
 	mst := client.MuxStats()
 	if mst.Pings < 2 || mst.Pongs < 2 {
 		t.Errorf("mux stats Pings=%d Pongs=%d, want >= 2 each", mst.Pings, mst.Pongs)
@@ -364,7 +359,6 @@ func TestChaosBlackholeTorture(t *testing.T) {
 		Multiplex:         true,
 		Negotiate:         true,
 		KeepaliveInterval: 10 * time.Millisecond,
-		KeepaliveTimeout:  40 * time.Millisecond,
 		CallTimeout:       300 * time.Millisecond,
 		Retry: RetryPolicy{
 			MaxAttempts: 20,

@@ -1,7 +1,11 @@
 package orb
 
 import (
+	"bufio"
 	"fmt"
+	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,21 +39,19 @@ func TestNegotiationMatrix(t *testing.T) {
 							serverFeats |= wire.FeatureDeadline
 						}
 						if serverFeats == 0 {
-							// NegotiateFeatures' zero value means "default
+							// offerFeatures' zero value means "default
 							// set"; a server offering neither tested feature
 							// advertises only one the client does not
 							// implement.
 							serverFeats = wire.FeatureCompactV3
 						}
 						impl := &echoImpl{}
-						server := New(Options{
-							Protocol:          proto,
-							NegotiateFeatures: serverFeats,
-							// The server never sets Negotiate: answering
-							// hellos is unconditional, only dialing is
-							// opt-in. This whole matrix doubles as the
-							// mixed-configuration interop check.
-						})
+						// The server never sets Negotiate: answering hellos
+						// is unconditional, only dialing is opt-in. This
+						// whole matrix doubles as the mixed-configuration
+						// interop check.
+						server := New(Options{Protocol: proto})
+						server.offerFeatures = serverFeats
 						server.legacyWire = legacy
 						if err := server.Start(); err != nil {
 							t.Fatal(err)
@@ -178,5 +180,64 @@ func TestNegotiateOffIsSeedBehavior(t *testing.T) {
 	}
 	if got, err := obj.(Echo).Echo("plain"); err != nil || got != "plain" {
 		t.Fatalf("Echo = %q, %v", got, err)
+	}
+}
+
+// TestOversizedHelloAnsweredMalformed: every started ORB answers hellos
+// before admission, so a max-size "HRMI/1 codecs=,,,…" hello is a request
+// anyone can send. In both codecs it must get the malformed-offer answer
+// (no features, no codecs), and what the server allocates for it must stay
+// what reading the frame costs — about 1× in CDR, about 6× in text, whose
+// line reader grows its buffer by append — rather than adding the parser's
+// old ~17× amplification on top. The frame is encoded up front and written
+// raw, so the measurement is the server's side alone.
+func TestOversizedHelloAnsweredMalformed(t *testing.T) {
+	hello := &wire.Message{Type: wire.MsgHello, Static: true,
+		Body: []byte("HRMI/1 feat=7 codecs=" + strings.Repeat(",", wire.MaxBodyLen-64))}
+	readCost := map[string]uint64{"text": 8, "cdr": 2} // allowed bytes per frame byte
+	for _, proto := range []wire.Protocol{wire.Text, wire.CDR} {
+		t.Run(proto.Name(), func(t *testing.T) {
+			server := New(Options{Protocol: proto})
+			if err := server.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer server.Shutdown()
+			frame, err := proto.AppendMessage(nil, hello)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", server.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			sent := make(chan error, 1)
+			go func() { _, err := conn.Write(frame); sent <- err }()
+			reply, err := proto.ReadMessage(bufio.NewReader(conn))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wire.FreeMessage(reply)
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			if reply.Type != wire.MsgHello {
+				t.Fatalf("answer type %s, want hello", reply.Type)
+			}
+			ans, err := wire.ParseHello(reply.Body)
+			if err != nil || ans.Features != 0 || len(ans.Codecs) != 0 {
+				t.Fatalf("answer %+v, %v; want the empty-feature answer to a malformed offer", ans, err)
+			}
+			n := after.TotalAlloc - before.TotalAlloc
+			t.Logf("a %d-byte hello cost %d bytes of allocation (%.1fx)", len(frame), n, float64(n)/float64(len(frame)))
+			if limit := readCost[proto.Name()] * uint64(len(frame)); n > limit {
+				t.Errorf("a %d-byte hello cost %d bytes of allocation, want <= %d", len(frame), n, limit)
+			}
+		})
 	}
 }

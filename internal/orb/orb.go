@@ -53,9 +53,6 @@ type Options struct {
 	// ConnMaxLifetime retires pooled connections older than this; zero
 	// means unlimited.
 	ConnMaxLifetime time.Duration
-	// ConnHealthCheck, when set, probes cached connections at checkout;
-	// failing connections are discarded instead of handed to callers.
-	ConnHealthCheck func(transport.Conn) error
 
 	// Multiplex enables the shared-connection invocation path: instead of
 	// checking out an exclusive pooled connection per in-flight call
@@ -85,19 +82,9 @@ type Options struct {
 	// (requires Multiplex) and the server's reply path when
 	// MaxConcurrentPerConn > 1. Single in-flight callers take a direct
 	// write, so the latency cost when there is nothing to batch is
-	// marginal; see DESIGN.md §9 for when not to enable it.
+	// marginal. A gathered write carries at most 64 frames and 256 KiB;
+	// see DESIGN.md §9 for when not to enable it.
 	CoalesceWrites bool
-	// CoalesceMaxFrames bounds the writer queue and the number of frames
-	// in one gathered write; <= 0 selects the transport default (64).
-	CoalesceMaxFrames int
-	// CoalesceMaxBytes bounds one gathered write's payload bytes; <= 0
-	// selects the transport default (256 KiB).
-	CoalesceMaxBytes int
-	// CoalesceLinger makes the flusher wait this long after the first
-	// queued frame to accumulate a larger batch, trading per-call latency
-	// for batch size. Zero (the default) flushes as soon as the flusher
-	// runs; microseconds are the sensible scale otherwise.
-	CoalesceLinger time.Duration
 
 	// Admission bounds concurrent server-side dispatch and sheds the
 	// excess with StatusOverloaded (see admission.go). The zero value
@@ -119,11 +106,6 @@ type Options struct {
 	// balance.LeastInFlight, or balance.ConsistentHash. It has no effect on
 	// calls whose target is not a registered replica member.
 	Balance balance.Policy
-	// DispatchFault, when set, is consulted after every servant dispatch
-	// and before the reply is written — server-side fault injection for
-	// tests (delay a reply past its caller's deadline, drop it outright)
-	// without planting time.Sleep in servants.
-	DispatchFault func(transport.DispatchFaultInfo) transport.DispatchVerdict
 
 	// Collocation selects how invocations whose target is exported by this
 	// same ORB are carried. The zero value (CollocateWire) routes them over
@@ -139,12 +121,10 @@ type Options struct {
 	// headers. Peers that do not speak hello are detected and redialed
 	// plain (static configuration applies, exactly as before), so mixed
 	// fleets interoperate. The server side always answers hellos,
-	// regardless of this knob. Off by default.
+	// regardless of this knob. Off by default. The offer (as dialer and as
+	// answerer) is everything this build implements: coalescing, deadline
+	// headers, keepalive.
 	Negotiate bool
-	// NegotiateFeatures restricts the feature set this ORB offers in its
-	// hello (both as dialer and as answerer). Zero offers everything this
-	// build implements (coalescing, deadline headers, keepalive).
-	NegotiateFeatures wire.Feature
 
 	// KeepaliveInterval enables the liveness layer (DESIGN §15): shared
 	// multiplexed connections that carry no inbound frame for this long are
@@ -152,15 +132,12 @@ type Options struct {
 	// connections idle past this bound are ping-probed at checkout before
 	// being handed to a caller. A connection that answers nothing is torn
 	// down (transport.ErrConnStuck) instead of wedging callers until their
-	// deadlines. Pings ride only connections whose peer negotiated
-	// wire.FeatureKeepalive (or that never negotiated, where static
-	// configuration — both ends built alike — applies). Zero disables the
-	// layer; the seed behavior.
+	// deadlines. A ping unanswered for three intervals (with nothing else
+	// inbound either) declares the connection stuck. Pings ride only
+	// connections whose peer negotiated wire.FeatureKeepalive (or that
+	// never negotiated, where static configuration — both ends built
+	// alike — applies). Zero disables the layer; the seed behavior.
 	KeepaliveInterval time.Duration
-	// KeepaliveTimeout is how long an unanswered ping (with nothing else
-	// inbound either) may stand before the connection is declared stuck.
-	// Zero means 3× KeepaliveInterval.
-	KeepaliveTimeout time.Duration
 
 	// Hedge enables speculative duplicate requests for slow idempotent
 	// two-way calls (hedge.go): an attempt with no reply after Hedge.Delay
@@ -257,6 +234,10 @@ type ORB struct {
 	// drops the connection on a hello frame instead of answering, exactly
 	// like a seed CDR reader erroring on the unknown message type.
 	legacyWire bool
+	// offerFeatures, when non-zero, restricts the feature set this ORB
+	// offers in its hello (as dialer and as answerer) — a test seam for
+	// peers built with fewer features.
+	offerFeatures wire.Feature
 
 	nextOID uint64 // object identifiers, atomically allocated
 	reqID   uint32 // request identifiers
@@ -280,7 +261,6 @@ type ORB struct {
 
 	goAwaysSent atomic.Uint64
 	goAwaysSeen atomic.Uint64
-	dispatchSeq atomic.Uint64 // ordinal fed to the DispatchFault hook
 
 	wg    sync.WaitGroup
 	reqWG sync.WaitGroup // in-flight server dispatches (drained by Shutdown)
@@ -361,7 +341,6 @@ func New(opts Options) *ORB {
 		Disabled:    opts.DisableConnCache,
 		IdleTTL:     opts.ConnIdleTTL,
 		MaxLifetime: opts.ConnMaxLifetime,
-		CheckHealth: opts.ConnHealthCheck,
 	}
 	if opts.Breaker.Threshold > 0 {
 		bs := transport.NewBreakerSet(opts.Breaker)
@@ -373,13 +352,10 @@ func New(opts Options) *ORB {
 		// endpoint's failures trip one circuit no matter which path fed
 		// them, and PoolStats.Breakers stays the single source of truth.
 		o.mux = &transport.MuxPool{
-			Dial:    opts.Transport.Dial,
-			Width:   opts.MuxConnsPerEndpoint,
-			Breaker: o.pool.Breaker,
-		}
-		if opts.CoalesceWrites {
-			cfg := o.coalesceConfig()
-			o.mux.Coalesce = &cfg
+			Dial:     opts.Transport.Dial,
+			Width:    opts.MuxConnsPerEndpoint,
+			Breaker:  o.pool.Breaker,
+			Coalesce: opts.CoalesceWrites,
 		}
 		// A GOAWAY on any shared connection marks its endpoint draining, so
 		// the next invocation re-resolves instead of pipelining into the
@@ -391,17 +367,10 @@ func New(opts Options) *ORB {
 		// pool gets a checkout-time ping probe on long-idle connections
 		// (probing every checkout would put a round-trip on the hot path).
 		if o.mux != nil {
-			o.mux.Keepalive = &transport.KeepaliveConfig{
-				Interval: opts.KeepaliveInterval,
-				Timeout:  opts.KeepaliveTimeout,
-			}
-		}
-		to := opts.KeepaliveTimeout
-		if to <= 0 {
-			to = 3 * opts.KeepaliveInterval
+			o.mux.Keepalive = opts.KeepaliveInterval
 		}
 		o.pool.ProbeIdle = opts.KeepaliveInterval
-		o.pool.Probe = transport.PingProbe(to)
+		o.pool.Probe = transport.PingProbe(transport.StuckIntervals * opts.KeepaliveInterval)
 	}
 	if opts.Negotiate {
 		// Route every client dial (exclusive and mux) through one shared
@@ -476,16 +445,6 @@ func (o *ORB) routeRef(ref ObjectRef, refStr string) (ObjectRef, string) {
 	e := &reboundEntry{ref: nref, str: nref.String()}
 	o.rebound.Store(refStr, e)
 	return e.ref, e.str
-}
-
-// coalesceConfig maps the Options knobs onto the transport's coalescer
-// configuration.
-func (o *ORB) coalesceConfig() transport.CoalesceConfig {
-	return transport.CoalesceConfig{
-		MaxFrames: o.opts.CoalesceMaxFrames,
-		MaxBytes:  o.opts.CoalesceMaxBytes,
-		Linger:    o.opts.CoalesceLinger,
-	}
 }
 
 // Protocol returns the ORB's wire protocol.
@@ -900,7 +859,7 @@ func (o *ORB) serveConn(c transport.Conn) {
 	// about to produce replies worth waiting for.
 	send := c.Send
 	if o.opts.CoalesceWrites && o.opts.MaxConcurrentPerConn > 1 {
-		co := transport.NewCoalescer(c, o.coalesceConfig())
+		co := transport.NewCoalescer(c)
 		// Runs after connWG.Wait below (defers are LIFO), so every
 		// worker's reply has been flushed or failed before the conn dies.
 		defer co.Close()
@@ -1010,7 +969,7 @@ func (o *ORB) serveConn(c transport.Conn) {
 // helloOffer is the feature set and codec preference this ORB advertises in
 // negotiation, as dialer and as answerer.
 func (o *ORB) helloOffer() wire.Hello {
-	feats := o.opts.NegotiateFeatures
+	feats := o.offerFeatures
 	if feats == 0 {
 		feats = wire.FeatureCoalesce | wire.FeatureDeadline | wire.FeatureKeepalive
 	}
@@ -1126,15 +1085,6 @@ func (o *ORB) serveRequest(send func(*wire.Message) error, m *wire.Message) {
 		err = o.runServerChain(&sc.ctx, func() error { return o.dispatchMethod(s, m.Method, sc) })
 	} else {
 		err = o.dispatchMethod(s, m.Method, sc)
-	}
-	if hook := o.opts.DispatchFault; hook != nil {
-		v := hook(transport.DispatchFaultInfo{Method: m.Method, Oneway: m.Oneway, Seq: o.dispatchSeq.Add(1)})
-		if v.Delay > 0 {
-			time.Sleep(v.Delay)
-		}
-		if v.DropReply {
-			return
-		}
 	}
 	if m.Oneway {
 		return

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -18,26 +17,12 @@ import (
 // syscalls into ~1; with a single caller a direct-write fast path bypasses
 // the queue entirely so the latency tax stays marginal. See DESIGN.md §9.
 
-// CoalesceConfig tunes a Coalescer. The zero value selects the defaults.
-type CoalesceConfig struct {
-	// MaxFrames bounds both the queue depth and the number of frames in one
-	// gathered write. Default 64.
-	MaxFrames int
-	// MaxBytes bounds the (estimated) payload bytes in one gathered write;
-	// a batch always admits at least one frame. Default 256 KiB.
-	MaxBytes int
-	// Linger is how long the flusher waits after finding the queue non-empty
-	// before draining, trading latency for batch size. Microseconds are the
-	// sensible scale; the default 0 drains immediately — concurrent callers
-	// still batch because they enqueue while the previous write is in
-	// flight.
-	Linger time.Duration
-}
-
-// Defaults for CoalesceConfig zero fields.
+// Batch bounds. maxBatchFrames bounds both the queue depth and the number of
+// frames in one gathered write; maxBatchBytes bounds the (estimated) payload
+// bytes in one gathered write, and a batch always admits at least one frame.
 const (
-	defaultCoalesceFrames = 64
-	defaultCoalesceBytes  = 256 << 10
+	maxBatchFrames = 64
+	maxBatchBytes  = 256 << 10
 )
 
 // ErrNotSent is returned for frames the coalescer never attempted to write:
@@ -66,9 +51,8 @@ var entryPool = sync.Pool{
 // their existing synchronous semantics. A Coalescer is poisoned by the first
 // write error: the stream's framing is unknown past that point.
 type Coalescer struct {
-	c   Conn
-	bs  BatchSender // c's gathered-write surface, nil if unsupported
-	cfg CoalesceConfig
+	c  Conn
+	bs BatchSender // c's gathered-write surface, nil if unsupported
 
 	mu       sync.Mutex
 	notEmpty sync.Cond // queue went non-empty, or closed
@@ -83,14 +67,8 @@ type Coalescer struct {
 }
 
 // NewCoalescer starts a coalescing writer over c.
-func NewCoalescer(c Conn, cfg CoalesceConfig) *Coalescer {
-	if cfg.MaxFrames <= 0 {
-		cfg.MaxFrames = defaultCoalesceFrames
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = defaultCoalesceBytes
-	}
-	q := &Coalescer{c: c, cfg: cfg, done: make(chan struct{})}
+func NewCoalescer(c Conn) *Coalescer {
+	q := &Coalescer{c: c, done: make(chan struct{})}
 	q.bs, _ = c.(BatchSender)
 	q.notEmpty.L = &q.mu
 	q.notFull.L = &q.mu
@@ -138,7 +116,7 @@ func (q *Coalescer) send(m *wire.Message, batched bool) error {
 		q.mu.Unlock()
 		return err
 	}
-	for !q.closed && len(q.queue) >= q.cfg.MaxFrames {
+	for !q.closed && len(q.queue) >= maxBatchFrames {
 		q.notFull.Wait()
 	}
 	if q.closed {
@@ -213,13 +191,14 @@ func (q *Coalescer) failLocked(cause error) {
 	q.notFull.Broadcast()
 }
 
-// frameOverhead approximates per-frame header bytes for the MaxBytes budget
-// (the exact size is protocol-dependent and not worth an extra encode).
+// frameOverhead approximates per-frame header bytes for the maxBatchBytes
+// budget (the exact size is protocol-dependent and not worth an extra
+// encode).
 const frameOverhead = 64
 
-// run is the flusher: it sleeps until frames accumulate, optionally lingers,
-// then drains up to the frame/byte budget into one gathered write and
-// resolves each frame's waiter.
+// run is the flusher: it sleeps until frames accumulate, then drains up to
+// the frame/byte budget into one gathered write and resolves each frame's
+// waiter.
 func (q *Coalescer) run() {
 	defer close(q.done)
 	var batch []*coalesceEntry
@@ -239,15 +218,6 @@ func (q *Coalescer) run() {
 			q.mu.Unlock()
 			return
 		}
-		if q.cfg.Linger > 0 && len(q.queue) < q.cfg.MaxFrames {
-			q.mu.Unlock()
-			time.Sleep(q.cfg.Linger)
-			q.mu.Lock()
-			if q.closed {
-				q.mu.Unlock()
-				return
-			}
-		}
 		// Group-commit accumulation: senders that chose the queued path are
 		// parked one wakeup away from enqueueing the frames we want in THIS
 		// batch. Yield the processor while the queue is still growing and
@@ -255,7 +225,7 @@ func (q *Coalescer) run() {
 		// sleep this costs scheduler round trips, not wall-clock: on an idle
 		// machine a yield is ~100ns, and on a saturated single processor it
 		// is exactly what lets the remaining callers run and enqueue.
-		for len(q.queue) < q.cfg.MaxFrames {
+		for len(q.queue) < maxBatchFrames {
 			n := len(q.queue)
 			q.mu.Unlock()
 			runtime.Gosched()
@@ -270,9 +240,9 @@ func (q *Coalescer) run() {
 		}
 		// Cut a batch honouring both budgets (always at least one frame).
 		take, bytes := 0, 0
-		for take < len(q.queue) && take < q.cfg.MaxFrames {
+		for take < len(q.queue) && take < maxBatchFrames {
 			sz := len(q.queue[take].m.Body) + frameOverhead
-			if take > 0 && bytes+sz > q.cfg.MaxBytes {
+			if take > 0 && bytes+sz > maxBatchBytes {
 				break
 			}
 			bytes += sz

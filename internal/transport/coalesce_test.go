@@ -11,27 +11,65 @@ import (
 	"repro/internal/wire"
 )
 
-// recordingConn wraps a Conn and counts how frames reached the wire: one by
-// one (Send) or gathered (SendBatch, recording each batch's frame count).
+// recordingConn wraps a Conn and records how frames reached the wire: one by
+// one (Send) or gathered (SendBatch, recording each batch's frame count and
+// body bytes). With hold set, its first write blocks until hold is closed, so
+// frames sent meanwhile pile up in a coalescer's queue and the next flush is
+// a batch — batch formation without a wall-clock linger.
 type recordingConn struct {
 	Conn
+	hold    chan struct{}
+	once    sync.Once
 	mu      sync.Mutex
 	singles int
 	batches []int
+	bytes   []int
+}
+
+func (c *recordingConn) wait() {
+	if c.hold != nil {
+		c.once.Do(func() { <-c.hold })
+	}
 }
 
 func (c *recordingConn) Send(m *wire.Message) error {
 	c.mu.Lock()
 	c.singles++
 	c.mu.Unlock()
+	c.wait()
 	return c.Conn.Send(m)
 }
 
 func (c *recordingConn) SendBatch(ms []*wire.Message) error {
+	n := 0
+	for _, m := range ms {
+		n += len(m.Body)
+	}
 	c.mu.Lock()
 	c.batches = append(c.batches, len(ms))
+	c.bytes = append(c.bytes, n)
 	c.mu.Unlock()
-	return c.Conn.(BatchSender).SendBatch(ms)
+	c.wait()
+	if bs, ok := c.Conn.(BatchSender); ok {
+		return bs.SendBatch(ms)
+	}
+	for _, m := range ms {
+		if err := c.Conn.Send(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// written counts the frames handed to the conn so far.
+func (c *recordingConn) written() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.singles
+	for _, b := range c.batches {
+		n += b
+	}
+	return n
 }
 
 // maxBatch returns the largest gathered write seen so far.
@@ -61,8 +99,8 @@ func TestCoalesceConcurrentCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc := &recordingConn{Conn: c}
-			m := NewMuxConnCoalescing(rc, &CoalesceConfig{Linger: 200 * time.Microsecond})
+			rc := &recordingConn{Conn: c, hold: make(chan struct{})}
+			m := newMuxConn(rc, true, nil)
 			defer m.Close()
 
 			const callers, perCaller = 16, 50
@@ -91,6 +129,12 @@ func TestCoalesceConcurrentCalls(t *testing.T) {
 					errs <- nil
 				}()
 			}
+			// The first write is held: let the other callers' frames queue
+			// behind it, then release them into one gathered write.
+			waitFor(t, "frames to queue behind the held write", func() bool {
+				return queueLen(m.co) >= 2 || rc.maxBatch() >= 2
+			})
+			close(rc.hold)
 			for g := 0; g < callers; g++ {
 				if err := <-errs; err != nil {
 					t.Fatal(err)
@@ -119,7 +163,7 @@ func TestCoalesceSingleCallerDirectPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := &recordingConn{Conn: c}
-	m := NewMuxConnCoalescing(rc, &CoalesceConfig{})
+	m := newMuxConn(rc, true, nil)
 	defer m.Close()
 
 	const calls = 64
@@ -195,6 +239,68 @@ func testMsg(id uint32) *wire.Message {
 	return &wire.Message{Type: wire.MsgRequest, RequestID: id, Method: "m"}
 }
 
+// TestCoalescerBatchBounds pins the two batch bounds. The conn's first write
+// is held while senders queue, so the queue fills to its bound and the
+// flushes after the release are as large as the bounds allow:
+//
+//   - 200 small frames never produce a gathered write over 64 frames (and
+//     the full queue does produce one of exactly 64);
+//   - large frames never produce a gathered write over 256 KiB of body plus
+//     the one frame a batch always admits.
+func TestCoalescerBatchBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		frames, body int
+	}{
+		{"frames", 200, 16},
+		{"bytes", 40, 48 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := &recordingConn{Conn: &fakeConn{}, hold: make(chan struct{})}
+			q := NewCoalescer(rc)
+			defer q.Close()
+			body := make([]byte, tc.body)
+			var wg sync.WaitGroup
+			for i := 1; i <= tc.frames; i++ {
+				wg.Add(1)
+				go func(id uint32) {
+					defer wg.Done()
+					m := testMsg(id)
+					m.Body = body
+					if err := q.SendBatched(m); err != nil {
+						t.Error(err)
+					}
+				}(uint32(i))
+			}
+			waitFor(t, "the queue to fill behind the held write", func() bool {
+				return queueLen(q) == min(maxBatchFrames, tc.frames-rc.written())
+			})
+			close(rc.hold)
+			wg.Wait()
+
+			if n := rc.written(); n != tc.frames {
+				t.Fatalf("conn saw %d frames, want %d", n, tc.frames)
+			}
+			switch max := rc.maxBatch(); {
+			case tc.name == "frames" && max != maxBatchFrames:
+				t.Errorf("largest gathered write carried %d frames; a full queue should flush %d", max, maxBatchFrames)
+			case max < 2:
+				t.Errorf("largest gathered write carried %d frames; nothing batched", max)
+			}
+			// Every sender has returned: the records are settled.
+			for i, n := range rc.batches {
+				if n > maxBatchFrames {
+					t.Errorf("gathered write %d carried %d frames, bound %d", i, n, maxBatchFrames)
+				}
+				if b := rc.bytes[i]; b > maxBatchBytes+tc.body {
+					t.Errorf("gathered write %d carried %d body bytes, bound %d plus one %d-byte frame", i, b, maxBatchBytes, tc.body)
+				}
+			}
+			t.Logf("%d single sends, batches %v", rc.singles, rc.batches)
+		})
+	}
+}
+
 // TestCoalescerErrorClasses pins the three failure shapes callers see:
 //
 //   - the direct-path writer gets the underlying Send error, raw;
@@ -204,7 +310,7 @@ func testMsg(id uint32) *wire.Message {
 //     (never attempted, always safe to retry) — as do all later Sends.
 func TestCoalescerErrorClasses(t *testing.T) {
 	sc := newScriptConn()
-	q := NewCoalescer(sc, CoalesceConfig{})
+	q := NewCoalescer(sc)
 	defer q.Close()
 
 	// A takes the direct path and parks inside sc.Send.
@@ -260,7 +366,7 @@ func TestCoalescerErrorClasses(t *testing.T) {
 // Send) and poisons the coalescer for everyone after.
 func TestCoalescerDirectPathError(t *testing.T) {
 	sc := newScriptConn()
-	q := NewCoalescer(sc, CoalesceConfig{})
+	q := NewCoalescer(sc)
 	defer q.Close()
 
 	boom := errors.New("broken pipe")
@@ -284,7 +390,7 @@ func TestCoalescerDirectPathError(t *testing.T) {
 // in flight completes on its own terms.
 func TestCoalescerCloseFailsQueued(t *testing.T) {
 	sc := newScriptConn()
-	q := NewCoalescer(sc, CoalesceConfig{})
+	q := NewCoalescer(sc)
 
 	aErr := make(chan error, 1)
 	go func() { aErr <- q.Send(testMsg(1)) }()
@@ -338,7 +444,7 @@ func TestCoalesceMidBatchFaultRecovery(t *testing.T) {
 
 	p := &MuxPool{
 		Dial:     ft.Dial,
-		Coalesce: &CoalesceConfig{Linger: 100 * time.Microsecond},
+		Coalesce: true,
 	}
 	defer p.Close()
 

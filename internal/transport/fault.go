@@ -263,30 +263,6 @@ func (c *faultConn) Recv() (*wire.Message, error) {
 	return c.Conn.Recv()
 }
 
-// DispatchFaultInfo describes one server-side dispatch to an ORB's
-// DispatchFault hook — the server-side counterpart of FaultInfo. It is
-// consulted after the servant ran and before the reply is written, so tests
-// can hold a reply back (forcing the caller's deadline to fire) or drop it
-// outright without planting time.Sleep in servants.
-type DispatchFaultInfo struct {
-	// Method is the invoked operation name.
-	Method string
-	// Oneway reports whether the caller expects no reply.
-	Oneway bool
-	// Seq is the 1-based ordinal of this dispatch across the ORB.
-	Seq uint64
-}
-
-// DispatchVerdict is what the DispatchFault hook decides. The zero value
-// passes: no delay, reply sent normally.
-type DispatchVerdict struct {
-	// Delay holds the reply back for this long (after the servant ran).
-	Delay time.Duration
-	// DropReply discards the reply entirely — the caller waits out its
-	// deadline, exactly as if the frame were lost in flight.
-	DropReply bool
-}
-
 // FaultSchedule returns a Decide hook failing each operation kind with the
 // given probability, derived purely from the seed and the operation's
 // global ordinal — the same seed always produces the same fault plan for a

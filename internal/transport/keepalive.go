@@ -30,38 +30,21 @@ import (
 // mid-call connection loss.
 var ErrConnStuck = errors.New("transport: connection stuck: keepalive probe unanswered")
 
-// KeepaliveConfig tunes the liveness prober attached to shared
-// (multiplexed) connections.
-type KeepaliveConfig struct {
-	// Interval is how long a connection must stay silent (no inbound
-	// frame) before a ping goes out. Zero disables keepalive.
-	Interval time.Duration
-	// Timeout is how long after an unanswered ping — with no other
-	// inbound frame either — the connection is declared stuck and
-	// evicted. Zero means 3×Interval.
-	Timeout time.Duration
-}
-
-// timeout resolves the effective eviction timeout.
-func (c KeepaliveConfig) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 3 * c.Interval
-}
+// StuckIntervals is how many keepalive intervals an unanswered ping — with
+// no other inbound frame either — may stand before the connection is
+// declared stuck and evicted.
+const StuckIntervals = 3
 
 // nowNanos is the keepalive clock: monotonic-enough wall nanos for "how
 // long since the last frame" arithmetic.
 func nowNanos() int64 { return time.Now().UnixNano() }
 
-// startKeepalive launches the prober goroutine on a shared connection. It
-// must be called once, before the connection is handed to any caller.
-func (m *MuxConn) startKeepalive(cfg KeepaliveConfig) {
-	if cfg.Interval <= 0 {
-		return
-	}
+// startKeepalive launches the prober goroutine on a shared connection,
+// pinging after interval of silence. It must be called once, before the
+// connection is handed to any caller.
+func (m *MuxConn) startKeepalive(interval time.Duration) {
 	m.lastRecv.Store(nowNanos())
-	go m.keepalive(cfg.Interval, cfg.timeout())
+	go m.keepalive(interval, StuckIntervals*interval)
 }
 
 // keepalive is the prober loop. It wakes at most once per interval while
@@ -161,13 +144,13 @@ var probeID atomic.Uint32
 // a timed-out caller, stale pongs from an interrupted earlier probe).
 const maxProbeSkip = 8
 
-// PingProbe returns a checkout-time liveness probe for Pool.Probe (or
-// Pool.CheckHealth): it sends one ping on the idle connection and waits up
-// to timeout for the pong, tolerating a bounded amount of stale traffic
-// left on the stream. Exclusive-pool connections have no concurrent reader
-// while idle, so the probe may Recv freely. Peers that negotiated away
-// wire.FeatureKeepalive are assumed alive (returning an error would evict
-// every legacy connection at every probe interval).
+// PingProbe returns a checkout-time liveness probe for Pool.Probe: it sends
+// one ping on the idle connection and waits up to timeout for the pong,
+// tolerating a bounded amount of stale traffic left on the stream.
+// Exclusive-pool connections have no concurrent reader while idle, so the
+// probe may Recv freely. Peers that negotiated away wire.FeatureKeepalive
+// are assumed alive (returning an error would evict every legacy connection
+// at every probe interval).
 func PingProbe(timeout time.Duration) func(Conn) error {
 	return func(c Conn) error {
 		if neg, ok := Negotiation(c); ok && !neg.Allows(wire.FeatureKeepalive) {

@@ -85,7 +85,7 @@ func TestKeepalivePingsIdleConn(t *testing.T) {
 
 	p := &MuxPool{
 		Dial:      tr.Dial,
-		Keepalive: &KeepaliveConfig{Interval: 15 * time.Millisecond},
+		Keepalive: 15 * time.Millisecond,
 	}
 	defer p.Close()
 	mc, err := p.Get(addr)
@@ -132,11 +132,8 @@ func TestKeepaliveEvictsStuckConn(t *testing.T) {
 	addr, srv := startPingServer(t, tr)
 
 	p := &MuxPool{
-		Dial: tr.Dial,
-		Keepalive: &KeepaliveConfig{
-			Interval: 10 * time.Millisecond,
-			Timeout:  30 * time.Millisecond,
-		},
+		Dial:      tr.Dial,
+		Keepalive: 10 * time.Millisecond, // stuck after 30ms of silence
 	}
 	defer p.Close()
 	mc, err := p.Get(addr)
@@ -186,7 +183,7 @@ func TestKeepaliveBusyConnNeverPinged(t *testing.T) {
 
 	p := &MuxPool{
 		Dial:      tr.Dial,
-		Keepalive: &KeepaliveConfig{Interval: 40 * time.Millisecond},
+		Keepalive: 40 * time.Millisecond,
 	}
 	defer p.Close()
 	mc, err := p.Get(addr)
@@ -237,10 +234,10 @@ func TestKeepaliveNegotiationGate(t *testing.T) {
 			}}
 			p := &MuxPool{
 				Dial: n.DialConn,
-				// Long timeout: the hello server answers hellos only, so
-				// pings (when sent) go unanswered — this test watches the
-				// send gate, not eviction.
-				Keepalive: &KeepaliveConfig{Interval: 10 * time.Millisecond, Timeout: time.Hour},
+				// The hello server answers hellos only, so pings (when sent)
+				// go unanswered and the connection is evicted as stuck —
+				// this test watches the send gate, not eviction.
+				Keepalive: 10 * time.Millisecond,
 			}
 			defer p.Close()
 			if _, err := p.Get(srv.l.Addr()); err != nil {

@@ -82,28 +82,22 @@ type MuxConn struct {
 
 // NewMuxConn wraps c and starts its demux reader. The MuxConn owns c: do
 // not Send or Recv on it directly afterwards.
-func NewMuxConn(c Conn) *MuxConn { return NewMuxConnCoalescing(c, nil) }
+func NewMuxConn(c Conn) *MuxConn { return newMuxConn(c, false, nil) }
 
-// NewMuxConnCoalescing is NewMuxConn with an optional coalescing writer:
-// when cfg is non-nil, concurrent callers' frames are batched into gathered
-// writes (DESIGN.md §9) instead of each taking the writer lock and a
-// syscall.
-func NewMuxConnCoalescing(c Conn, cfg *CoalesceConfig) *MuxConn {
-	return newMuxConn(c, cfg, nil)
-}
-
-// newMuxConn is the full constructor: onGoAway (may be nil) is installed
+// newMuxConn is the full constructor. With coalesce set, concurrent callers'
+// frames are batched into gathered writes (DESIGN.md §9) instead of each
+// taking the writer lock and a syscall. onGoAway (may be nil) is installed
 // before the demux reader starts, so the first GOAWAY frame cannot race the
 // callback's registration.
-func newMuxConn(c Conn, cfg *CoalesceConfig, onGoAway func()) *MuxConn {
+func newMuxConn(c Conn, coalesce bool, onGoAway func()) *MuxConn {
 	m := &MuxConn{
 		conn:     c,
 		pending:  make(map[uint32]chan muxResult),
 		onGoAway: onGoAway,
 		done:     make(chan struct{}),
 	}
-	if cfg != nil {
-		m.co = NewCoalescer(c, *cfg)
+	if coalesce {
+		m.co = NewCoalescer(c)
 	}
 	go m.demux()
 	return m
@@ -179,17 +173,17 @@ func (m *MuxConn) fail(err error) {
 	} else {
 		err = m.err
 	}
-	// Mark the connection unhealthy before any caller observes its failure,
-	// so a failed call's immediate retry never draws this connection again.
+	// Mark the connection broken and dead before any caller observes its
+	// failure, so a failed call's immediate retry never draws it again.
 	m.broken.Store(true)
 	pend := m.pending
 	m.pending = nil
 	m.inflight.Store(0)
 	m.mu.Unlock()
+	close(m.done)
 	for _, ch := range pend {
 		ch <- muxResult{err: fmt.Errorf("transport: shared connection failed: %w", err)}
 	}
-	close(m.done)
 	if m.co != nil {
 		// Resolve any frames still queued in the coalescer (ErrNotSent) and
 		// stop its flusher. The connection is already closed above.
@@ -416,19 +410,20 @@ type MuxPool struct {
 	Width int
 	// Breaker, when set, gates Get per endpoint exactly as in Pool.
 	Breaker *BreakerSet
-	// Coalesce, when set, routes every shared connection's writes through a
-	// coalescing writer with this configuration (DESIGN.md §9).
-	Coalesce *CoalesceConfig
+	// Coalesce routes every shared connection's writes through a coalescing
+	// writer (DESIGN.md §9).
+	Coalesce bool
 	// OnDraining, when set, is called once per connection whose peer sends a
 	// GOAWAY frame, with the endpoint address. Set before the first Get; it
 	// runs on the connection's demux goroutine.
 	OnDraining func(addr string)
-	// Keepalive, when set with a positive Interval, starts a liveness
-	// prober on every shared connection whose peer can answer pings
+	// Keepalive, when positive, is the ping interval of a liveness prober
+	// started on every shared connection whose peer can answer pings
 	// (keepalive.go): idle connections are pinged, and a connection whose
-	// probe goes unanswered past the timeout is evicted with ErrConnStuck
-	// instead of wedging every multiplexed caller until their deadlines.
-	Keepalive *KeepaliveConfig
+	// probe goes unanswered for StuckIntervals intervals is evicted with
+	// ErrConnStuck instead of wedging every multiplexed caller until their
+	// deadlines.
+	Keepalive time.Duration
 
 	mu     sync.Mutex
 	conns  map[string][]*MuxConn // fixed Width slots per endpoint
@@ -524,7 +519,7 @@ func (p *MuxPool) Get(addr string) (*MuxConn, error) {
 	// un-negotiated dials) keep the static setting.
 	co := p.Coalesce
 	if neg, ok := Negotiation(c); ok && !neg.Allows(wire.FeatureCoalesce) {
-		co = nil
+		co = false
 	}
 	mc := newMuxConn(c, co, onGoAway)
 	// Keepalive is per-connection once negotiation is in play, like
@@ -532,9 +527,9 @@ func (p *MuxPool) Get(addr string) (*MuxConn, error) {
 	// feature never sees a ping. Legacy and un-negotiated connections
 	// follow the static configuration (both ends are assumed built alike,
 	// the FeatureDeadline precedent).
-	if ka := p.Keepalive; ka != nil && ka.Interval > 0 {
+	if p.Keepalive > 0 {
 		if neg, ok := Negotiation(c); !ok || neg.Allows(wire.FeatureKeepalive) {
-			mc.startKeepalive(*ka)
+			mc.startKeepalive(p.Keepalive)
 		}
 	}
 	slots[slot] = mc

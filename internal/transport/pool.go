@@ -15,17 +15,13 @@ import (
 // Beyond the paper's cache, the pool carries the fault-tolerance policy of
 // the invocation layer: an optional per-endpoint circuit breaker consulted
 // on checkout, idle-TTL and max-lifetime eviction so stale cached
-// connections are not handed to callers, and an optional liveness check on
-// checkout.
+// connections are not handed to callers, and an optional liveness probe on
+// checkout. At most DefaultMaxIdlePerHost idle connections are cached per
+// endpoint; excess returned connections are closed.
 type Pool struct {
 	// Dial opens a new connection to an endpoint; typically a
 	// Transport's Dial.
 	Dial func(addr string) (Conn, error)
-
-	// MaxIdlePerHost bounds the number of idle connections cached per
-	// endpoint; zero means DefaultMaxIdlePerHost. Excess returned
-	// connections are closed.
-	MaxIdlePerHost int
 
 	// Disabled turns caching off: Get always dials and Put always
 	// closes.
@@ -41,22 +37,16 @@ type Pool struct {
 	// per-connection state); zero means unlimited.
 	MaxLifetime time.Duration
 
-	// CheckHealth, when set, probes each cached connection at checkout;
-	// a non-nil error discards that connection and falls through to the
-	// next idle connection (or a fresh dial). Fresh dials are not
-	// checked.
-	CheckHealth func(Conn) error
-
 	// ProbeIdle, with Probe set, bounds how long a cached connection may
 	// sit idle before checkout runs the (potentially round-trip-priced)
 	// Probe on it. Connections idle for less are handed out unprobed —
 	// the common case, kept at zero extra cost. Zero disables probing.
 	ProbeIdle time.Duration
 	// Probe actively checks a long-idle cached connection at checkout,
-	// typically PingProbe (keepalive.go): unlike CheckHealth (cheap, run
-	// on every cached checkout) it may cost a network round-trip, so it
-	// runs only on connections idle past ProbeIdle. A non-nil error
-	// discards the connection and falls through to the next candidate.
+	// typically PingProbe (keepalive.go). It may cost a network
+	// round-trip, so it runs only on connections idle past ProbeIdle. A
+	// non-nil error discards the connection and falls through to the next
+	// idle connection (or a fresh dial). Fresh dials are not probed.
 	Probe func(Conn) error
 
 	// Breaker, when set, gates checkouts per endpoint: Get fails fast
@@ -95,7 +85,7 @@ type pooledConn struct {
 	created time.Time
 }
 
-// DefaultMaxIdlePerHost is the per-endpoint idle cap when none is set.
+// DefaultMaxIdlePerHost is the per-endpoint idle cap.
 const DefaultMaxIdlePerHost = 8
 
 // ErrPoolClosed is returned by Get after Close; the ORB maps it onto its
@@ -205,7 +195,7 @@ func (p *Pool) InFlight(addr string) int {
 }
 
 // checkoutIdle attempts one cached-connection checkout. done=false means a
-// candidate failed its health check and the caller should try again;
+// candidate failed its liveness probe and the caller should try again;
 // done=true with a nil Conn and nil error means the cache is empty (miss).
 func (p *Pool) checkoutIdle(addr string) (Conn, error, bool) {
 	p.mu.Lock()
@@ -216,7 +206,7 @@ func (p *Pool) checkoutIdle(addr string) (Conn, error, bool) {
 	now := p.timeNow()
 	list := p.idle[addr]
 	// Evict expired idle connections wholesale: the list is short
-	// (MaxIdlePerHost) and eviction must not depend on checkout order.
+	// (DefaultMaxIdlePerHost) and eviction must not depend on checkout order.
 	var evict []Conn
 	if p.IdleTTL > 0 || p.MaxLifetime > 0 {
 		live := list[:0]
@@ -250,16 +240,6 @@ func (p *Pool) checkoutIdle(addr string) (Conn, error, bool) {
 	if c == nil {
 		return nil, nil, true
 	}
-	if p.CheckHealth != nil {
-		if err := p.CheckHealth(c); err != nil {
-			c.Close()
-			// The hit was provisional; try the next candidate.
-			p.mu.Lock()
-			p.hits--
-			p.mu.Unlock()
-			return nil, nil, false
-		}
-	}
 	if p.Probe != nil && p.ProbeIdle > 0 && idleFor >= p.ProbeIdle {
 		// Long-idle connection: anything may have happened to it while it
 		// sat (peer restart, NAT flow expiry, silent path failure), so pay
@@ -270,6 +250,7 @@ func (p *Pool) checkoutIdle(addr string) (Conn, error, bool) {
 		p.mu.Unlock()
 		if err := p.Probe(c); err != nil {
 			c.Close()
+			// The hit was provisional; try the next candidate.
 			p.mu.Lock()
 			p.hits--
 			p.probeEvicted++
@@ -321,13 +302,9 @@ func (p *Pool) Put(addr string, c Conn, healthy bool) {
 			return
 		}
 	}
-	max := p.MaxIdlePerHost
-	if max <= 0 {
-		max = DefaultMaxIdlePerHost
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || len(p.idle[addr]) >= max {
+	if p.closed || len(p.idle[addr]) >= DefaultMaxIdlePerHost {
 		c.Close()
 		return
 	}

@@ -143,11 +143,15 @@ func TestPoolMaxLifetimeEviction(t *testing.T) {
 	p.Close()
 }
 
+// TestPoolHealthCheckOnCheckout: a long-idle cached connection is probed at
+// checkout; one that flunks is skipped, closed, and the older one handed out
+// instead — and when every cached connection flunks, checkout dials.
 func TestPoolHealthCheckOnCheckout(t *testing.T) {
-	p, _, dialed := fakePool()
+	p, clk, dialed := fakePool()
 	bad := map[Conn]bool{}
 	var mu sync.Mutex
-	p.CheckHealth = func(c Conn) error {
+	p.ProbeIdle = time.Second
+	p.Probe = func(c Conn) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if bad[unwrap(c)] {
@@ -157,11 +161,12 @@ func TestPoolHealthCheckOnCheckout(t *testing.T) {
 	}
 	const addr = "ep"
 
-	// Cache two connections.
+	// Cache two connections and let them go long-idle.
 	c1, _ := p.Get(addr)
 	c2, _ := p.Get(addr)
 	p.Put(addr, c1, true)
 	p.Put(addr, c2, true)
+	clk.Advance(2 * time.Second)
 
 	// Poison the most recently returned (checked out first, LIFO): the
 	// checkout must skip it, close it, and hand out the older one.
@@ -173,12 +178,13 @@ func TestPoolHealthCheckOnCheckout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if unwrap(got) != unwrap(c1) {
-		t.Fatal("health check did not fall through to the healthy connection")
+		t.Fatal("probe did not fall through to the healthy connection")
 	}
 	if !(*dialed)[1].isClosed() {
 		t.Error("unhealthy connection not closed")
 	}
 	p.Put(addr, got, true)
+	clk.Advance(2 * time.Second)
 
 	// Poison everything: checkout falls through to a fresh dial.
 	mu.Lock()
@@ -191,8 +197,8 @@ func TestPoolHealthCheckOnCheckout(t *testing.T) {
 	if unwrap(got2) == unwrap(c1) || unwrap(got2) == unwrap(c2) {
 		t.Fatal("poisoned connection handed out again")
 	}
-	if st := p.Stats(); st.Dials != 3 {
-		t.Errorf("dials = %d, want 3", st.Dials)
+	if st := p.Stats(); st.Dials != 3 || st.Probes != 3 || st.ProbeEvicted != 2 {
+		t.Errorf("stats = %+v, want 3 dials, 3 probes, 2 evicted", st)
 	}
 	p.Put(addr, got2, true)
 	p.Close()

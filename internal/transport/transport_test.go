@@ -350,15 +350,12 @@ func TestPoolUnhealthyDiscard(t *testing.T) {
 }
 
 func TestPoolIdleCap(t *testing.T) {
-	tr := NewTCP(wire.Text)
-	s := startEcho(t, tr)
-	addr := s.l.Addr()
-	p := NewPool(tr)
-	p.MaxIdlePerHost = 2
+	p, _, dialed := fakePool()
 	defer p.Close()
+	const addr = "ep"
 
 	var conns []Conn
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultMaxIdlePerHost+2; i++ {
 		c, err := p.Get(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -371,8 +368,13 @@ func TestPoolIdleCap(t *testing.T) {
 	p.mu.Lock()
 	idle := len(p.idle[addr])
 	p.mu.Unlock()
-	if idle != 2 {
-		t.Errorf("idle = %d, want cap 2", idle)
+	if idle != DefaultMaxIdlePerHost {
+		t.Errorf("idle = %d, want cap %d", idle, DefaultMaxIdlePerHost)
+	}
+	for i, c := range *dialed {
+		if want := i >= DefaultMaxIdlePerHost; c.isClosed() != want {
+			t.Errorf("conn %d closed = %t, want %t (excess returns close)", i, c.isClosed(), want)
+		}
 	}
 }
 

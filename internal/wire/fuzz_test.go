@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,7 +107,8 @@ func wireReq() Message {
 // ParseHello never panic (malformed payloads report an error — the caller's
 // fall-back-to-static signal — rather than guessing), and any well-formed
 // Hello round-trips through Encode/ParseHello and as a framed MsgHello in
-// every protocol, leaving the connection readable for the next frame.
+// every protocol, leaving the connection readable for the next frame. A body
+// over maxHelloLen bytes or listing over maxHelloCodecs codecs never parses.
 func FuzzHelloFrame(f *testing.F) {
 	f.Add([]byte("HRMI/1 feat=3 codecs=cdr,text"), uint32(1), uint32(3))
 	f.Add([]byte("HRMI/0 feat=0"), uint32(2), uint32(0))
@@ -113,6 +116,8 @@ func FuzzHelloFrame(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1"), uint32(1), uint32(1))
 	f.Add([]byte(""), uint32(9), uint32(42))
 	f.Add([]byte("HRMI/1 feat=notanumber codecs="), uint32(1), uint32(2))
+	f.Add([]byte("HRMI/1 feat=3 codecs=a,b,c,d,e,f,g,h,i"), uint32(1), uint32(3))
+	f.Add([]byte("HRMI/1 codecs="+strings.Repeat(",", maxHelloLen)), uint32(1), uint32(3))
 	f.Fuzz(func(t *testing.T, raw []byte, version, feat uint32) {
 		func() {
 			defer func() {
@@ -120,7 +125,11 @@ func FuzzHelloFrame(f *testing.F) {
 					t.Fatalf("ParseHello panicked on %q: %v", raw, r)
 				}
 			}()
-			ParseHello(raw)
+			h, err := ParseHello(raw)
+			if err == nil && (len(raw) > maxHelloLen || len(h.Codecs) > maxHelloCodecs) {
+				t.Fatalf("ParseHello accepted a %d-byte body with %d codecs; bounds are %d and %d",
+					len(raw), len(h.Codecs), maxHelloLen, maxHelloCodecs)
+			}
 		}()
 		if version == 0 {
 			return
@@ -165,6 +174,54 @@ func FuzzHelloFrame(f *testing.F) {
 			FreeMessage(next)
 		}
 	})
+}
+
+// TestHelloAmplificationBounded: a hello body is wire-supplied and answered
+// before admission, so ParseHello must reject a hostile one without
+// allocating in proportion to it. A max-size "HRMI/1 codecs=,,,…" body once
+// cost a whole-body string copy plus one string header per comma (~17× the
+// frame); now it is malformed at a cost independent of its size. The bounds
+// themselves reject one byte or one codec too many, and today's offers still
+// parse.
+func TestHelloAmplificationBounded(t *testing.T) {
+	body := []byte("HRMI/1 feat=3 codecs=" + strings.Repeat(",", MaxBodyLen-32))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseHello(body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("max-size hello parsed")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("rejecting a %d-byte hello allocated %d bytes", len(body), n)
+	}
+
+	codecs := func(n int) []byte {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("c%d", i)
+		}
+		return []byte("HRMI/1 feat=3 codecs=" + strings.Join(names, ","))
+	}
+	if _, err := ParseHello(codecs(maxHelloCodecs)); err != nil {
+		t.Errorf("%d codecs rejected: %v", maxHelloCodecs, err)
+	}
+	if _, err := ParseHello(codecs(maxHelloCodecs + 1)); err == nil {
+		t.Errorf("%d codecs accepted", maxHelloCodecs+1)
+	}
+	pad := func(n int) []byte {
+		return []byte("HRMI/1 feat=3 pad=" + strings.Repeat("x", n-len("HRMI/1 feat=3 pad=")))
+	}
+	if _, err := ParseHello(pad(maxHelloLen)); err != nil {
+		t.Errorf("%d-byte hello rejected: %v", maxHelloLen, err)
+	}
+	if _, err := ParseHello(pad(maxHelloLen + 1)); err == nil {
+		t.Errorf("%d-byte hello accepted", maxHelloLen+1)
+	}
+	offer := Hello{Version: HelloVersion, Features: knownFeatures, Codecs: []string{"cdr", "text"}}
+	if got, err := ParseHello(offer.Encode()); err != nil || got.Features != offer.Features || len(got.Codecs) != 2 {
+		t.Errorf("today's offer %q = %+v, %v", offer.Encode(), got, err)
+	}
 }
 
 // FuzzDeadlineHeader covers the deadline extension of both codecs: arbitrary

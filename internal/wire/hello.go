@@ -26,6 +26,17 @@ const HelloVersion = 1
 // is malformed and the peer falls back to static configuration.
 const helloMagic = "HRMI/"
 
+// Hello payload bounds. Real offers are ~40 bytes naming one or two codecs,
+// but a hello arrives before admission on every started ORB, so its body is
+// wire-supplied and up to MaxBodyLen long. Anything larger than maxHelloLen,
+// or listing more than maxHelloCodecs codecs, is malformed — rejected before
+// it is copied or split, so one frame cannot make the parser allocate a
+// multiple of its size.
+const (
+	maxHelloLen    = 256
+	maxHelloCodecs = 8
+)
+
 // Feature is a bitset of optional wire features a peer supports. A feature
 // is used on a connection only when both ends advertise it.
 type Feature uint32
@@ -119,6 +130,9 @@ func (h Hello) Encode() []byte {
 // caller falls back to static configuration rather than guessing.
 func ParseHello(body []byte) (Hello, error) {
 	var h Hello
+	if len(body) > maxHelloLen {
+		return h, fmt.Errorf("wire: hello: %d-byte payload exceeds %d", len(body), maxHelloLen)
+	}
 	s := string(body)
 	if !strings.HasPrefix(s, helloMagic) {
 		return h, fmt.Errorf("wire: hello: bad magic %.8q", s)
@@ -145,6 +159,9 @@ func ParseHello(body []byte) (Hello, error) {
 			}
 			h.Features = Feature(n)
 		case "codecs":
+			if n := strings.Count(val, ",") + 1; n > maxHelloCodecs {
+				return h, fmt.Errorf("wire: hello: %d codecs exceed %d", n, maxHelloCodecs)
+			}
 			if val != "" {
 				h.Codecs = strings.Split(val, ",")
 			}
