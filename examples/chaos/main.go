@@ -3,10 +3,10 @@
 //
 // The fault-tolerance example (examples/faulttolerance) covers loud
 // failures — errors, dropped connections, dead endpoints. This one covers
-// the failures that make no sound: transport.ChaosTransport swallows
-// sends (Send still returns nil), blackholes endpoints (outbound
-// swallowed, inbound discarded, dials keep succeeding) and adds latency,
-// all deterministically from a seed so every run replays.
+// the failures that make no sound: transport.FaultTransport blackholes
+// endpoints — outbound frames swallowed (Send still returns nil), inbound
+// frames discarded, dials still succeeding — so nothing reports the
+// partition.
 //
 // Three scenes:
 //
@@ -44,10 +44,10 @@ func main() {
 	scene3BlackholeAndHeal()
 }
 
-// chaoticPair starts a demo session server and a chaos-wrapped client over a
-// shared in-process transport. Only the client dials through chaos: the
-// server listens on the inner transport directly.
-func chaoticPair(seed int64, tweak func(*orb.Options)) (*orb.ORB, orb.ObjectRef, media.HdSession, *transport.ChaosTransport, func()) {
+// chaoticPair starts a demo session server and a fault-injecting client over
+// a shared in-process transport. Only the client dials through the injector:
+// the server listens on the inner transport directly.
+func chaoticPair(tweak func(*orb.Options)) (*orb.ORB, orb.ObjectRef, media.HdSession, *transport.FaultTransport, func()) {
 	inner := transport.NewInproc(wire.Text)
 	server, ref, _, err := demo.Serve(orb.Options{
 		Protocol: wire.Text, Transport: inner, ListenAddr: ":0",
@@ -56,7 +56,7 @@ func chaoticPair(seed int64, tweak func(*orb.Options)) (*orb.ORB, orb.ObjectRef,
 	if err != nil {
 		log.Fatal(err)
 	}
-	chaos := transport.NewChaosTransport(inner, seed)
+	chaos := transport.NewFaultTransport(inner)
 	opts := orb.Options{Protocol: wire.Text, Transport: chaos}
 	if tweak != nil {
 		tweak(&opts)
@@ -75,7 +75,7 @@ func chaoticPair(seed int64, tweak func(*orb.Options)) (*orb.ORB, orb.ObjectRef,
 
 func scene1StuckConnEvicted() {
 	fmt.Println("=== scene 1: keepalive evicts a silently stuck connection ===")
-	client, ref, session, chaos, cleanup := chaoticPair(7, func(o *orb.Options) {
+	client, ref, session, chaos, cleanup := chaoticPair(func(o *orb.Options) {
 		o.Multiplex = true
 		o.Negotiate = true
 		o.KeepaliveInterval = 10 * time.Millisecond // stuck after 3 silent intervals
@@ -167,7 +167,7 @@ func scene2HedgedTail() {
 
 func scene3BlackholeAndHeal() {
 	fmt.Println("=== scene 3: calling straight through a partition ===")
-	client, ref, session, chaos, cleanup := chaoticPair(99, func(o *orb.Options) {
+	client, ref, session, chaos, cleanup := chaoticPair(func(o *orb.Options) {
 		o.Multiplex = true
 		o.Negotiate = true
 		o.KeepaliveInterval = 10 * time.Millisecond
@@ -203,10 +203,10 @@ func scene3BlackholeAndHeal() {
 		time.Sleep(3 * time.Millisecond) // pace the burst across the partition
 	}
 	<-done
-	cst := chaos.Stats()
 	mst := client.MuxStats()
-	fmt.Printf("%d calls, %d failures; chaos swallowed %d frames, discarded %d; evictions=%d retries=%d\n",
-		calls, failures, cst.Swallowed, cst.Discarded, mst.StuckEvicted, client.Stats().Retries)
+	fmt.Printf("%d calls, %d failures; blackhole swallowed %d frames, discarded %d; evictions=%d retries=%d\n",
+		calls, failures, chaos.Verdicts(transport.FaultSend, transport.FaultSilent),
+		chaos.Verdicts(transport.FaultRecv, transport.FaultSilent), mst.StuckEvicted, client.Stats().Retries)
 	if failures > 0 {
 		log.Fatalf("%d calls failed despite the liveness layer", failures)
 	}

@@ -140,8 +140,13 @@ func TestHedgeAllAttemptsFail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lossy := transport.NewChaosTransport(transport.NewTCP(wire.CDR), 1)
-	lossy.DropSend = 1 // every request lost
+	lossy := transport.NewFaultTransport(transport.NewTCP(wire.CDR))
+	lossy.Decide = func(i transport.FaultInfo) transport.FaultVerdict {
+		if i.Op == transport.FaultSend {
+			return transport.FaultSilent // every request lost
+		}
+		return transport.FaultPass
+	}
 	client := New(Options{
 		Protocol:    wire.CDR,
 		Transport:   lossy,
@@ -173,7 +178,7 @@ func TestHedgeAllAttemptsFail(t *testing.T) {
 	if st.Hedges != 1 || st.HedgeWins != 0 {
 		t.Errorf("Hedges=%d HedgeWins=%d, want 1/0", st.Hedges, st.HedgeWins)
 	}
-	if n := lossy.Stats().Dropped; n != 2 {
+	if n := lossy.Verdicts(transport.FaultSend, transport.FaultSilent); n != 2 {
 		t.Errorf("network dropped %d sends, want 2 (primary + hedge)", n)
 	}
 }
@@ -353,7 +358,17 @@ func TestChaosBlackholeTorture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chaos := transport.NewChaosTransport(inner, 99)
+	// Mid-burst, once traffic is established (send #20), the network to
+	// the server goes completely dark. No goroutine observes an error from
+	// the partition itself — sends "succeed", inbound frames silently
+	// vanish — so only the liveness layer can notice.
+	chaos := transport.NewFaultTransport(inner)
+	chaos.Decide = func(i transport.FaultInfo) transport.FaultVerdict {
+		if i.Op == transport.FaultSend && i.Global == 20 {
+			chaos.Blackhole(i.Addr)
+		}
+		return transport.FaultPass
+	}
 	client := New(Options{
 		Protocol: wire.CDR, Transport: chaos, ListenAddr: ":0",
 		Multiplex:         true,
@@ -397,16 +412,8 @@ func TestChaosBlackholeTorture(t *testing.T) {
 	}
 	close(start)
 
-	// Mid-burst: once traffic is established, the network to the server
-	// goes completely dark for a while, then heals. No goroutine observes
-	// an error from the partition itself — sends "succeed", inbound frames
-	// silently vanish — so only the liveness layer can notice.
-	deadline := time.Now().Add(10 * time.Second)
-	for calls.Load() < 20 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	chaos.Blackhole(ref.Addr)
-	time.Sleep(100 * time.Millisecond)
+	// The partition heals once the prober has evicted the stuck connection.
+	waitFor(t, func() bool { return client.MuxStats().StuckEvicted >= 1 })
 	chaos.Heal(ref.Addr)
 
 	done := make(chan struct{})
@@ -420,14 +427,14 @@ func TestChaosBlackholeTorture(t *testing.T) {
 	if n := failures.Load(); n != 0 {
 		t.Errorf("%d of %d idempotent calls failed despite retry+hedge", n, callers*perCaller)
 	}
-	cst := chaos.Stats()
-	if cst.Swallowed == 0 {
+	swallowed := chaos.Verdicts(transport.FaultSend, transport.FaultSilent)
+	if swallowed == 0 {
 		t.Error("blackhole swallowed nothing; the partition never bit")
 	}
 	mst := client.MuxStats()
 	if mst.StuckEvicted == 0 {
 		t.Error("no stuck-connection eviction: keepalive never detected the blackhole")
 	}
-	t.Logf("chaos=%+v mux: pings=%d pongs=%d evicted=%d stats=%+v",
-		cst, mst.Pings, mst.Pongs, mst.StuckEvicted, client.Stats())
+	t.Logf("swallowed=%d discarded=%d mux: pings=%d pongs=%d evicted=%d stats=%+v",
+		swallowed, chaos.Verdicts(transport.FaultRecv, transport.FaultSilent), mst.Pings, mst.Pongs, mst.StuckEvicted, client.Stats())
 }
