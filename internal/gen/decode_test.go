@@ -34,6 +34,7 @@ type catalogueSession struct {
 
 func (s *catalogueSession) List() (media.HdStreamInfoSeq, error)             { return s.cat, nil }
 func (s *catalogueSession) Configure(*media.HdStreamInfo, heidi.XBool) error { return nil }
+func (s *catalogueSession) Play(string, media.HdStreamState) error           { return nil }
 
 func catalogue(n int) media.HdStreamInfoSeq {
 	out := make(media.HdStreamInfoSeq, n)
@@ -77,9 +78,13 @@ func inprocSession(t testing.TB, proto wire.Protocol, cat media.HdStreamInfoSeq)
 }
 
 // TestDecodeAllocationPins counts allocations over whole round trips, client
-// and server together: a ping makes none; a 64-struct list makes three (the
-// pointer slice, the one slab behind it, one string arena chunk); a
-// configure makes two (the struct, its arena chunk).
+// and server together: a ping and a play make none (play's name lands in the
+// server call's string slab, which outlives the call); a 64-struct list makes
+// two (the pointer slice and the one slab behind it); a configure makes one
+// (the struct). One published frameReady event, through a broker to a
+// consumer, makes none. The string slabs fill over many calls, so they show
+// only as a fraction of an allocation per call, which AllocsPerRun rounds
+// away.
 func TestDecodeAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the code's own")
@@ -87,20 +92,24 @@ func TestDecodeAllocationPins(t *testing.T) {
 	info := &media.HdStreamInfo{Name: "cfg-7-deadbeef.mpg", BitrateKbps: 1200, FrameRate: 29.97, HasAudio: heidi.XTrue}
 	for _, proto := range bothCodecs {
 		sess, _ := inprocSession(t, proto, catalogue(64))
+		publish := inprocPlayback(t, proto)
+		var seq int32
 		pins := []struct {
 			name string
 			max  float64
 			call func() error
 		}{
 			{"ping", 0, sess.Ping},
-			{"list of 64", 3, func() error {
+			{"play", 0, func() error { return sess.Play("stream-07.mpg", media.HdStreamStatePlaying) }},
+			{"list of 64", 2, func() error {
 				l, err := sess.List()
 				if err == nil && len(l) != 64 {
 					err = fmt.Errorf("list returned %d entries", len(l))
 				}
 				return err
 			}},
-			{"configure", 2, func() error { return sess.Configure(info, heidi.XTrue) }},
+			{"configure", 1, func() error { return sess.Configure(info, heidi.XTrue) }},
+			{"delivered frameReady", 0, func() error { seq++; return publish(seq) }},
 		}
 		for _, pin := range pins {
 			call := func() {
@@ -118,12 +127,66 @@ func TestDecodeAllocationPins(t *testing.T) {
 	}
 }
 
+// signalConsumer hands each frameReady sequence number to a channel, so a
+// publisher can wait for delivery without polling.
+type signalConsumer struct{ seqs chan int32 }
+
+func (c signalConsumer) FrameReady(name string, seq int32) error {
+	c.seqs <- seq
+	return nil
+}
+func (signalConsumer) StateChanged(string, media.HdStreamState) error { return nil }
+func (signalConsumer) Stalled(string, int32) error                    { return nil }
+
+// inprocPlayback wires a publisher ORB, a broker ORB hosting a Media::Playback
+// channel and a consumer ORB over the in-process transport, and returns a
+// function that publishes one frameReady event and returns once the consumer
+// has been handed it.
+func inprocPlayback(t testing.TB, proto wire.Protocol) func(seq int32) error {
+	t.Helper()
+	inproc := transport.NewInproc(proto)
+	start := func() *orb.ORB {
+		o := orb.New(orb.Options{Protocol: proto, Transport: inproc, ListenAddr: ":0"})
+		if err := o.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { o.Shutdown() })
+		return o
+	}
+	broker, consumer := start(), start()
+	ch, err := broker.CreateChannel("playback", orb.ChannelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	impl := signalConsumer{seqs: make(chan int32, 1)}
+	cref, err := consumer.Export(impl, media.NewHdPlaybackConsumerTable(impl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := consumer.Subscribe(ch.Ref(), cref.String(), orb.SubscribeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := media.NewHdPlaybackPublisher(start(), ch.Ref())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(seq int32) error {
+		if err := pub.FrameReady("stream-07.mpg", seq); err != nil {
+			return err
+		}
+		if got := <-impl.seqs; got != seq {
+			return fmt.Errorf("consumer got event %d, want %d", got, seq)
+		}
+		return nil
+	}
+}
+
 // TestDecodedValuesOutliveRelease: the stub releases its call — and with it
 // the reply's read-buffer lease — before it returns. Churn the lease pool
 // with frames of junk, as FuzzFreeMessage does from the inside, so a recycled
 // buffer is certainly overwritten; every decoded name and struct must still
-// read as sent, because strings are arena copies and structs live in a slab
-// of their own.
+// read as sent, because strings are copies in the decoder's string slab and
+// structs live in a slab of their own.
 func TestDecodedValuesOutliveRelease(t *testing.T) {
 	want := catalogue(64)
 	for _, proto := range bothCodecs {
@@ -284,6 +347,21 @@ func TestSequenceLengthLie(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorReplyIsBounded: a text client sends a 1 MiB string argument
+// with a bad escape. The skeleton's decode error comes back as the reply's
+// ErrMsg, which must quote an excerpt of the argument, not echo it.
+func TestDecodeErrorReplyIsBounded(t *testing.T) {
+	send := requestWith(t, wire.Text)
+	reply, err := send("f", []byte(`"\q`+strings.Repeat("x", 1<<20)+`"`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.FreeMessage(reply)
+	if reply.Status != wire.StatusSystemError || len(reply.ErrMsg) > 256 {
+		t.Errorf("reply %s with a %d-byte ErrMsg, want a system error of <= 256 bytes", reply.Status, len(reply.ErrMsg))
+	}
+}
+
 // FuzzSeqDecode feeds arbitrary bodies to the generated sequence unmarshaling
 // code, as a reply to a stub (sequence of structs, slab path) and as a
 // request to a skeleton (sequence of references), in both codecs. Whatever
@@ -342,13 +420,13 @@ func FuzzSeqDecode(f *testing.F) {
 // slab path, over a real call), a union and bare strings straight through an
 // encoder/decoder pair. Each codec must return exactly what was sent, which
 // also makes them agree with each other. The fuzzed string is spliced in at
-// lengths around the arena's limits, so quoting, NUL bytes, the empty string
-// and strings straddling an arena refill all occur.
+// lengths around the string slab's limits, so quoting, NUL bytes, the empty
+// string and strings that start a new slab all occur.
 func FuzzMarshalDifferential(f *testing.F) {
 	f.Add(int64(1), "plain.mpg")
 	f.Add(int64(2), "")
 	f.Add(int64(3), "quote\" back\\slash \x00 nul \n newline \xff bad-utf8 é")
-	f.Add(int64(4), strings.Repeat("x", 256)) // the longest arena-served string
+	f.Add(int64(4), strings.Repeat("x", 256)) // the longest slab-served string
 	f.Add(int64(5), strings.Repeat("y", 257)) // the shortest stand-alone one
 	f.Add(int64(6), strings.Repeat("z", 4096))
 	type rig struct {

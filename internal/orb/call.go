@@ -411,9 +411,9 @@ func (c *ClientCall) InvokeOneway() error {
 }
 
 // SetIdempotent marks this call as safe to retry even when a failure is
-// ambiguous (the request may already have been processed). Generated stubs
-// set it for IDL operations annotated idempotent; it has no effect unless
-// the ORB's RetryPolicy is enabled.
+// ambiguous (the request may already have been processed), and hedgeable.
+// Only code driving NewCall itself sets it: IDL has no idempotent annotation,
+// so generated stubs never do; RetryPolicy.Idempotent names their methods.
 func (c *ClientCall) SetIdempotent(v bool) { c.idempotent = v }
 
 func (c *ClientCall) roundTrip(oneway bool) (*wire.Message, error) {

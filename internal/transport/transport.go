@@ -130,10 +130,10 @@ func (c *streamConn) SendBatch(ms []*wire.Message) error {
 		c.frames[i] = b
 		segs = append(segs, b)
 	}
-	// WriteTo consumes its receiver as it writes; give it a copy of the
-	// header so the backing array can be reused for the next batch.
-	wv := segs
-	_, err := wv.WriteTo(c.nc)
+	// WriteTo consumes its receiver: it gets the conn's own header (a local
+	// escapes through the interface); segs keeps the array for the next batch.
+	c.segs = segs
+	_, err := c.segs.WriteTo(c.nc)
 	// Drop any oversized encode buffers so one huge payload is not pinned.
 	c.segs = segs[:0]
 	for i := range c.frames {

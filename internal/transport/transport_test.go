@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,55 @@ func TestTCPRecvAfterPeerClose(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Recv(); !errors.Is(err, wire.ErrClosed) {
 		t.Errorf("Recv = %v, want wire.ErrClosed", err)
+	}
+}
+
+// TestSendBatchAllocatesNothing: once a conn's encode buffers and iovec array
+// have grown, a gathered write of 8 frames over loopback TCP allocates
+// nothing. The net.Buffers header WriteTo consumes is the conn's own field; a
+// local copy would escape to the heap through the io.Writer call.
+func TestSendBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the code's own")
+	}
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nl.Close()
+	drained := make(chan struct{})
+	go func() { // drain the peer, allocation-free, so writes never block
+		defer close(drained)
+		nc, err := nl.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := nc.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := NewTCP(wire.CDR).Dial(nl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { c.Close(); <-drained }()
+	batch := make([]*wire.Message, 8)
+	for i := range batch {
+		batch[i] = &wire.Message{Type: wire.MsgRequest, RequestID: uint32(i), Static: true,
+			TargetRef: "@tcp:127.0.0.1:1#1#IDL:Media/Session:1.0", Method: "frameReady", Body: make([]byte, 24)}
+	}
+	send := func() {
+		if err := c.(BatchSender).SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // grow the encode buffers and the iovec array
+	if n := testing.AllocsPerRun(200, send); n != 0 {
+		t.Errorf("an 8-frame batch costs %v allocs, want 0", n)
 	}
 }
 

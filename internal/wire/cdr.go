@@ -350,7 +350,7 @@ func (e *cdrEncoder) Reset() { e.buf = e.buf[:0] }
 
 // cdrDecoder reads aligned binary values. buf may view a leased read buffer;
 // everything the decoder hands out is a value or a copy (strings come from
-// the arena), so nothing decoded outlives the lease by reference.
+// the slab), so nothing decoded outlives the lease by reference.
 type cdrDecoder struct {
 	buf   []byte
 	off   int
@@ -515,8 +515,9 @@ func (d *cdrDecoder) GetString() (string, error) {
 func (d *cdrDecoder) BeginGet() (string, error) { return "", nil }
 func (d *cdrDecoder) EndGet() error             { return nil }
 
-// Reset implements Decoder, re-targeting the decoder at a new body.
-func (d *cdrDecoder) Reset(body []byte) { d.buf, d.off, d.arena = body, 0, strArena{} }
+// Reset implements Decoder, re-targeting the decoder at a new body. The
+// string slab carries over: strings of the next body share it.
+func (d *cdrDecoder) Reset(body []byte) { d.buf, d.off = body, 0 }
 
 func (d *cdrDecoder) Remaining() int {
 	if d.off >= len(d.buf) {

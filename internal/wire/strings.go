@@ -2,6 +2,7 @@ package wire
 
 import (
 	"hash/maphash"
+	"strings"
 	"sync/atomic"
 )
 
@@ -13,24 +14,25 @@ import (
 // --- strArena: decoded body strings ------------------------------------------
 
 const (
-	// arenaChunk bounds one arena copy — and so what a retained substring
-	// can pin: a ten-byte name kept by the application holds at most this
-	// much of a body alive, whatever the body's size.
+	// arenaChunk bounds one slab — and so what a retained string can pin:
+	// a ten-byte name kept by the application holds at most this much
+	// alive, whatever the body's size and however many bodies the slab
+	// served.
 	arenaChunk = 4 << 10
-	// arenaMaxStr is the longest string served from the arena. Longer ones
+	// arenaMaxStr is the longest string served from the slab. Longer ones
 	// get an allocation of their own: they amortize it, and keeping one
-	// must not pin a chunk besides.
+	// must not pin a slab besides.
 	arenaMaxStr = 256
 )
 
-// strArena serves a decoder's GetString: an immutable copy of a window of
-// the body, addressed by body offset, so every short string inside the
-// window is a substring of one allocation. The window is refilled when a
-// string falls outside it; the old chunk stays with whoever kept substrings
-// of it.
+// strArena serves a decoder's GetString from a bump slab that survives
+// Reset, so the short strings of successive bodies share one allocation.
+// Appending within a strings.Builder's capacity never moves or rewrites the
+// bytes behind a String() already handed out, and a full slab is replaced,
+// not rewound (Builder.Reset drops the array): every string stays valid for
+// as long as it is held. Only the goroutine that owns the decoder appends.
 type strArena struct {
-	chunk string // copy of body[base : base+len(chunk)]
-	base  int
+	slab strings.Builder
 }
 
 // str returns body[off:off+n] as a string that does not alias body.
@@ -41,14 +43,18 @@ func (a *strArena) str(body []byte, off, n int) string {
 	if n == 0 {
 		return ""
 	}
-	if off < a.base || off+n > a.base+len(a.chunk) {
-		end := off + arenaChunk
-		if end > len(body) {
-			end = len(body)
-		}
-		a.chunk, a.base = string(body[off:end]), off
+	if a.slab.Cap()-a.slab.Len() < n {
+		// The first slab is what is left of this body; each replacement
+		// at least doubles, so a pooled decoder soon settles at
+		// arenaChunk. Either way the slab holds the string: n <= arenaMaxStr
+		// and the string lies within the rest of the body.
+		size := min(max(2*a.slab.Cap(), len(body)-off), arenaChunk)
+		a.slab.Reset()
+		a.slab.Grow(size)
 	}
-	return a.chunk[off-a.base : off-a.base+n]
+	a.slab.Write(body[off : off+n])
+	s := a.slab.String()
+	return s[len(s)-n:]
 }
 
 // --- intern: request headers and composite tags -------------------------------

@@ -98,8 +98,8 @@ func TestInternConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestArenaStringsAreBoundedCopies checks the arena rule on both decoders:
-// short strings share chunk allocations (64 names cost one, not 64), no
+// TestArenaStringsAreBoundedCopies checks the slab rule on both decoders:
+// short strings share slab allocations (64 names cost one, not 64), no
 // string aliases the body, and a string above arenaMaxStr stands alone.
 func TestArenaStringsAreBoundedCopies(t *testing.T) {
 	long := strings.Repeat("L", arenaMaxStr+1)
@@ -131,7 +131,8 @@ func TestArenaStringsAreBoundedCopies(t *testing.T) {
 				got = append(got, s)
 			}
 		})
-		// One chunk for this ~2 KiB body plus the long string's own copy.
+		// At most one slab for these ~1 KiB of names plus the long string's
+		// own copy.
 		if allocs > 2 {
 			t.Errorf("%s: decoding %d strings cost %v allocs, want <= 2", p.Name(), len(want), allocs)
 		}
@@ -146,14 +147,25 @@ func TestArenaStringsAreBoundedCopies(t *testing.T) {
 	}
 }
 
-// TestArenaRefillStraddle decodes a body several chunks long: strings that
-// straddle a chunk boundary trigger a refill and still come out whole, and
-// no chunk — what one retained string can pin — exceeds arenaChunk.
+// arenaOf returns the string slab a decoder appends to.
+func arenaOf(d Decoder) *strArena {
+	switch d := d.(type) {
+	case *cdrDecoder:
+		return &d.arena
+	case *textDecoder:
+		return &d.arena
+	}
+	panic(fmt.Sprintf("unknown decoder %T", d))
+}
+
+// TestArenaRefillStraddle decodes a body many slabs long: strings that do
+// not fit the current slab start a new one and still come out whole, and no
+// slab — what one retained string can pin — exceeds arenaChunk.
 func TestArenaRefillStraddle(t *testing.T) {
 	for _, p := range bothCodecs {
 		enc := p.NewEncoder()
 		var want []string
-		for i := 0; i < 400; i++ { // ~40 KiB: ten chunks
+		for i := 0; i < 400; i++ { // ~40 KiB: ten slabs
 			s := strings.Repeat(string(rune('a'+i%26)), 1+i%arenaMaxStr)
 			want = append(want, s)
 			enc.PutString(s)
@@ -163,19 +175,87 @@ func TestArenaRefillStraddle(t *testing.T) {
 			if got, err := dec.GetString(); err != nil || got != w {
 				t.Fatalf("%s: string %d = %q, %v; want %q", p.Name(), i, got, err, w)
 			}
-			var arena *strArena
-			switch d := dec.(type) {
-			case *cdrDecoder:
-				arena = &d.arena
-			case *textDecoder:
-				arena = &d.arena
-			}
-			if len(arena.chunk) > arenaChunk {
-				t.Fatalf("%s: arena chunk of %d bytes, bound is %d", p.Name(), len(arena.chunk), arenaChunk)
+			if c := arenaOf(dec).slab.Cap(); c > arenaChunk {
+				t.Fatalf("%s: slab of %d bytes, bound is %d", p.Name(), c, arenaChunk)
 			}
 		}
 		if dec.Remaining() != 0 {
 			t.Errorf("%s: %d bytes left", p.Name(), dec.Remaining())
+		}
+	}
+}
+
+// TestSlabOutlivesBodies is the pooled decoder's life: one decoder decodes
+// 10⁴ bodies of random short strings, each body is scribbled on once decoded
+// (its lease recycled), and every 97th string goes to a goroutine that keeps
+// re-reading all it holds while the decoder goes on appending to the slabs
+// those strings live in. Every kept string must still read as sent; under
+// -race this also proves appending never writes a byte handed out before.
+func TestSlabOutlivesBodies(t *testing.T) {
+	// Nothing the text codec escapes, so every string takes the slab path.
+	const slabAlphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ./-_:#@"
+	type kept struct{ got, want string }
+	for _, p := range bothCodecs {
+		keep := make(chan kept)
+		bad := make(chan int)
+		go func() {
+			var held []kept
+			n := 0
+			for k := range keep {
+				held = append(held, k)
+				for _, h := range held {
+					for i := 0; i < len(h.want); i++ { // byte reads the race detector sees
+						if h.got[i] != h.want[i] {
+							n++
+							break
+						}
+					}
+				}
+			}
+			bad <- n
+		}()
+
+		rnd := rand.New(rand.NewSource(26))
+		enc := p.NewEncoder()
+		dec := p.NewDecoder(nil)
+		var body []byte
+		var want []string
+		for b, seen := 0, 0; b < 10_000; b++ {
+			enc.Reset()
+			want = want[:0]
+			for i := rnd.Intn(8); i >= 0; i-- {
+				s := make([]byte, rnd.Intn(48))
+				for j := range s {
+					s[j] = slabAlphabet[rnd.Intn(len(slabAlphabet))]
+				}
+				want = append(want, string(s))
+				enc.PutString(string(s))
+				enc.PutLong(int32(i))
+			}
+			body = append(body[:0], enc.Bytes()...)
+			dec.Reset(body)
+			for _, w := range want {
+				got, err := dec.GetString()
+				if err != nil || got != w {
+					t.Fatalf("%s body %d: got %q, %v; want %q", p.Name(), b, got, err, w)
+				}
+				if _, err := dec.GetLong(); err != nil {
+					t.Fatalf("%s body %d: %v", p.Name(), b, err)
+				}
+				if seen++; seen%97 == 0 {
+					keep <- kept{got, w}
+				}
+			}
+			for i := range body {
+				body[i] = 0xEE
+			}
+			if c := arenaOf(dec).slab.Cap(); c > arenaChunk {
+				t.Fatalf("%s: slab of %d bytes, bound is %d", p.Name(), c, arenaChunk)
+			}
+		}
+		close(keep)
+		if n := <-bad; n != 0 {
+			t.Errorf("%s: %d reads of kept strings differed from what was sent", p.Name(), n)
 		}
 	}
 }

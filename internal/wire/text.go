@@ -180,7 +180,7 @@ func (TextProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 		n, err := strconv.ParseUint(string(id), 10, 32)
 		if err != nil {
 			FreeMessage(m)
-			return bad("bad %s id %q", verb, id)
+			return bad("bad %s id %s", verb, excerpt(id))
 		}
 		m.RequestID = uint32(n)
 		lease.release()
@@ -194,11 +194,11 @@ func (TextProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 		n, err := strconv.ParseUint(string(id), 10, 32)
 		if err != nil {
 			FreeMessage(m)
-			return bad("bad request id %q", id)
+			return bad("bad request id %s", excerpt(id))
 		}
 		if len(ref) == 0 || len(method) == 0 {
 			FreeMessage(m)
-			return bad("request missing target or method: %q", line)
+			return bad("request missing target or method: %s", excerpt(line))
 		}
 		m.RequestID = uint32(n)
 		m.TargetRef = intern(ref)
@@ -206,7 +206,7 @@ func (TextProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 		if dl, rest4, derr, ok := deadlineToken(body); ok {
 			if derr != nil {
 				FreeMessage(m)
-				return bad("bad deadline token in %q", line)
+				return bad("bad deadline token in %s", excerpt(line))
 			}
 			m.Deadline = dl
 			body = rest4
@@ -225,7 +225,7 @@ func (TextProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 		n, err := strconv.ParseUint(string(id), 10, 32)
 		if err != nil {
 			FreeMessage(m)
-			return bad("bad reply id %q", id)
+			return bad("bad reply id %s", excerpt(id))
 		}
 		m.RequestID = uint32(n)
 		if len(body) > 0 {
@@ -242,12 +242,12 @@ func (TextProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 		n, err := strconv.ParseUint(string(id), 10, 32)
 		if err != nil {
 			FreeMessage(m)
-			return bad("bad reply id %q", id)
+			return bad("bad reply id %s", excerpt(id))
 		}
 		sc, err := strconv.Atoi(string(status))
 		if err != nil || sc == int(StatusOK) {
 			FreeMessage(m)
-			return bad("bad error status %q", status)
+			return bad("bad error status %s", excerpt(status))
 		}
 		msg := string(bytes.TrimSpace(rest3))
 		if unq, err := unquoteToken(msg); err == nil {
@@ -260,7 +260,7 @@ func (TextProtocol) ReadMessage(r *bufio.Reader) (*Message, error) {
 		return m, nil
 	default:
 		FreeMessage(m)
-		return bad("unknown text verb %q", verb)
+		return bad("unknown text verb %s", excerpt(verb))
 	}
 }
 
@@ -278,9 +278,24 @@ func deadlineToken(body []byte) (dl uint32, rest []byte, err error, ok bool) {
 	tok, rest := nextField(body)
 	n, err := strconv.ParseUint(string(tok[1:]), 10, 32)
 	if err != nil || n == 0 {
-		return 0, body, fmt.Errorf("wire: bad deadline token %q", tok), true
+		return 0, body, fmt.Errorf("wire: bad deadline token %s", excerpt(tok)), true
 	}
 	return uint32(n), rest, nil, true
+}
+
+// maxExcerpt bounds how much of a malformed line or token an error quotes.
+// Decode errors travel back to the peer (a skeleton's becomes the reply's
+// ErrMsg), so they must not echo, let alone amplify, what came in: %q spends
+// up to four characters on a byte, and 32 bytes keep a message under 256 B.
+const maxExcerpt = 32
+
+// excerpt quotes peer bytes for an error message: all of b when it is short,
+// else its first maxExcerpt bytes and its length.
+func excerpt(b []byte) string {
+	if len(b) <= maxExcerpt {
+		return strconv.Quote(string(b))
+	}
+	return fmt.Sprintf("%q... (%d bytes)", b[:maxExcerpt], len(b))
 }
 
 // nextField splits off the next space-delimited field.
@@ -454,7 +469,7 @@ func (e *textEncoder) Reset()        { e.buf = e.buf[:0] }
 
 // textDecoder tokenizes an encoded body in place. buf may view a leased read
 // buffer: numbers are parsed straight out of it, and the strings handed out
-// are copies (arena for values, intern table for composite tags), so nothing
+// are copies (slab for values, intern table for composite tags), so nothing
 // decoded aliases the buffer once the lease returns.
 type textDecoder struct {
 	buf   []byte
@@ -462,8 +477,9 @@ type textDecoder struct {
 	arena strArena
 }
 
-// Reset implements Decoder.
-func (d *textDecoder) Reset(body []byte) { *d = textDecoder{buf: body} }
+// Reset implements Decoder. The string slab carries over: strings of the
+// next body share it.
+func (d *textDecoder) Reset(body []byte) { d.buf, d.off = body, 0 }
 
 // next returns the next token as a view into buf; d.off is left just past it.
 func (d *textDecoder) next() ([]byte, error) {
@@ -529,7 +545,7 @@ func (d *textDecoder) GetBool() (bool, error) {
 	case "F":
 		return false, nil
 	}
-	return false, fmt.Errorf("wire: bad boolean token %q", t)
+	return false, fmt.Errorf("wire: bad boolean token %s", excerpt(t))
 }
 
 // The string(t) conversions handed to strconv below do not escape, so number
@@ -542,7 +558,7 @@ func (d *textDecoder) int(bits int) (int64, error) {
 	}
 	n, err := strconv.ParseInt(string(t), 10, bits)
 	if err != nil {
-		return 0, fmt.Errorf("wire: bad integer token %q", t)
+		return 0, fmt.Errorf("wire: bad integer token %s", excerpt(t))
 	}
 	return n, nil
 }
@@ -554,7 +570,7 @@ func (d *textDecoder) uint(bits int) (uint64, error) {
 	}
 	n, err := strconv.ParseUint(string(t), 10, bits)
 	if err != nil {
-		return 0, fmt.Errorf("wire: bad unsigned token %q", t)
+		return 0, fmt.Errorf("wire: bad unsigned token %s", excerpt(t))
 	}
 	return n, nil
 }
@@ -591,7 +607,7 @@ func (d *textDecoder) float(bits int, what string) (float64, error) {
 	}
 	f, err := strconv.ParseFloat(string(t), bits)
 	if err != nil {
-		return 0, fmt.Errorf("wire: bad %s token %q", what, t)
+		return 0, fmt.Errorf("wire: bad %s token %s", what, excerpt(t))
 	}
 	return f, nil
 }
@@ -610,7 +626,7 @@ func (d *textDecoder) GetChar() (rune, error) {
 	}
 	s, err := strconv.Unquote(string(t))
 	if err != nil || s == "" {
-		return 0, fmt.Errorf("wire: bad char token %q", t)
+		return 0, fmt.Errorf("wire: bad char token %s", excerpt(t))
 	}
 	r, _ := utf8.DecodeRuneInString(s)
 	return r, nil
@@ -633,7 +649,7 @@ func (d *textDecoder) GetString() (string, error) {
 	// Escapes to undo: Unquote builds its own result.
 	s, err := strconv.Unquote(string(t))
 	if err != nil {
-		return "", fmt.Errorf("wire: bad string token %q", t)
+		return "", fmt.Errorf("wire: bad string token %s", excerpt(t))
 	}
 	if len(s) > MaxStringLen {
 		return tooLong()
@@ -647,7 +663,7 @@ func (d *textDecoder) BeginGet() (string, error) {
 		return "", err
 	}
 	if t[0] != '{' {
-		return "", fmt.Errorf("wire: expected composite begin, got %q", t)
+		return "", fmt.Errorf("wire: expected composite begin, got %s", excerpt(t))
 	}
 	return intern(t[1:]), nil
 }
@@ -658,7 +674,7 @@ func (d *textDecoder) EndGet() error {
 		return err
 	}
 	if string(t) != "}" {
-		return fmt.Errorf("wire: expected composite end, got %q", t)
+		return fmt.Errorf("wire: expected composite end, got %s", excerpt(t))
 	}
 	return nil
 }

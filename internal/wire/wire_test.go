@@ -262,6 +262,56 @@ func TestTextDecoderErrors(t *testing.T) {
 	}
 }
 
+// TestTextErrorsQuoteBoundedExcerpts feeds every text-codec error that quotes
+// peer bytes a 1 MiB malformed field. A decode error travels back to the peer
+// as a reply's ErrMsg, so each must quote an excerpt and the length, never the
+// input: at most 256 bytes, however bad the bytes are to quote.
+func TestTextErrorsQuoteBoundedExcerpts(t *testing.T) {
+	junk := strings.Repeat("\xff", 1<<20) // four quoted characters a byte
+	frame := func(line string) func() error {
+		return func() error {
+			_, err := Text.ReadMessage(bufio.NewReader(strings.NewReader(line + "\n")))
+			return err
+		}
+	}
+	body := func(b string, get func(Decoder) error) func() error {
+		return func() error { return get(Text.NewDecoder([]byte(b))) }
+	}
+	cases := []struct {
+		name string
+		err  func() error
+	}{
+		{"ping id", frame("ping " + junk)},
+		{"request id", frame("call " + junk + " @r m")},
+		{"request missing method", frame("call 1 " + junk)},
+		{"request deadline", frame("call 1 @r m @" + junk)},
+		{"ok reply id", frame("ok " + junk)},
+		{"err reply id", frame("err " + junk + ` 2 "x"`)},
+		{"err status", frame("err 1 " + junk + ` "x"`)},
+		{"verb", frame(junk + " 1")},
+		{"deadline token", func() error { _, _, err, _ := deadlineToken([]byte("@" + junk)); return err }},
+		{"boolean", body(junk, func(d Decoder) error { _, err := d.GetBool(); return err })},
+		{"integer", body(junk, func(d Decoder) error { _, err := d.GetLong(); return err })},
+		{"unsigned", body(junk, func(d Decoder) error { _, err := d.GetULong(); return err })},
+		{"float", body(junk, func(d Decoder) error { _, err := d.GetDouble(); return err })},
+		{"char", body(junk, func(d Decoder) error { _, err := d.GetChar(); return err })},
+		{"string escape", body(`"\q`+junk+`"`, func(d Decoder) error { _, err := d.GetString(); return err })},
+		{"composite begin", body(junk, func(d Decoder) error { _, err := d.BeginGet(); return err })},
+		{"composite end", body(junk, func(d Decoder) error { return d.EndGet() })},
+	}
+	for _, c := range cases {
+		err := c.err()
+		switch {
+		case err == nil:
+			t.Errorf("%s: no error", c.name)
+		case len(err.Error()) > 256:
+			t.Errorf("%s: %d-byte error for a 1 MiB input, want <= 256", c.name, len(err.Error()))
+		case !strings.Contains(err.Error(), " bytes)"):
+			t.Errorf("%s: error does not come from the excerpt: %v", c.name, err)
+		}
+	}
+}
+
 func TestCDRTruncatedInputs(t *testing.T) {
 	enc := CDR.NewEncoder()
 	enc.PutLong(7)
